@@ -18,11 +18,12 @@ Two certification engines:
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
 from typing import Optional
 
 import numpy as np
 
-from .errors import BracketError, DomainError, VerdictConflictError
+from .errors import BracketError, DomainError
 from .pinching import (
     _gradient_terms_raw,
     closed_numerator_coeffs,
@@ -325,12 +326,11 @@ def _certify_gauss(speed, t_max):
     lead_note = (
         f"leading coeffs: q1 {float(c3):.6g}, q2 {float(c0):.6g}"
     )
+    report = partial(
+        QReport, family=speed.family, alpha=alpha, t_lo=1.0, t_hi=float(t_max)
+    )
     if certified:
-        return QReport(
-            family=speed.family,
-            alpha=alpha,
-            t_lo=1.0,
-            t_hi=float(t_max),
+        return report(
             q1_max=Fraction(0),
             q2_max=Fraction(0),
             verdict="nonpositive_certified",
@@ -340,11 +340,7 @@ def _certify_gauss(speed, t_max):
     witness_t, which, numer = min(found, key=lambda x: x[0])
     witness_q = _closed_q_at(alpha, witness_t, which, numer)
     scan = sign_scan(speed, ratio_grid=log_ratio_grid(max(t_max, float(witness_t) * 2)))
-    return QReport(
-        family=speed.family,
-        alpha=alpha,
-        t_lo=1.0,
-        t_hi=float(t_max),
+    return report(
         q1_max=scan.q1_max,
         q2_max=scan.q2_max,
         verdict="violated",
@@ -433,12 +429,15 @@ def certify_nonpositive(speed, alpha=None, t_max=1e6, depth_limit=60) -> QReport
     cap_note = (
         f" (alpha cap {SUM_POWER_ALPHA_CAP})" if speed.family == "sum_power" else ""
     )
+    report = partial(
+        QReport,
+        family=speed.family,
+        alpha=float(speed.alpha),
+        t_lo=1.0,
+        t_hi=float(t_max),
+    )
     if scan.verdict == "violated":
-        return QReport(
-            family=speed.family,
-            alpha=float(speed.alpha),
-            t_lo=1.0,
-            t_hi=float(t_max),
+        return report(
             q1_max=scan.q1_max,
             q2_max=scan.q2_max,
             verdict="violated",
@@ -451,11 +450,7 @@ def certify_nonpositive(speed, alpha=None, t_max=1e6, depth_limit=60) -> QReport
     tail_grid = np.geomspace(t_max, 100 * t_max, 256)[1:]
     tail_scan = sign_scan(speed, ratio_grid=tail_grid)
     if ok and tail_scan.verdict == "violated":
-        return QReport(
-            family=speed.family,
-            alpha=float(speed.alpha),
-            t_lo=1.0,
-            t_hi=float(t_max),
+        return report(
             q1_max=max(scan.q1_max, tail_scan.q1_max),
             q2_max=max(scan.q2_max, tail_scan.q2_max),
             verdict="violated",
@@ -465,11 +460,7 @@ def certify_nonpositive(speed, alpha=None, t_max=1e6, depth_limit=60) -> QReport
             tail="sampled",
         )
     if ok:
-        return QReport(
-            family=speed.family,
-            alpha=float(speed.alpha),
-            t_lo=1.0,
-            t_hi=float(t_max),
+        return report(
             q1_max=scan.q1_max,
             q2_max=scan.q2_max,
             verdict="nonpositive_sampled",
@@ -477,11 +468,7 @@ def certify_nonpositive(speed, alpha=None, t_max=1e6, depth_limit=60) -> QReport
             f"maxima sampled (normalized); tail sampled{cap_note}",
             tail="sampled",
         )
-    return QReport(
-        family=speed.family,
-        alpha=float(speed.alpha),
-        t_lo=1.0,
-        t_hi=float(t_max),
+    return report(
         q1_max=scan.q1_max,
         q2_max=scan.q2_max,
         verdict="inconclusive",
@@ -529,8 +516,6 @@ def find_threshold(family, alpha_range, tol, t_max=1e6) -> ThresholdResult:
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
         if decide(mid):
-            if mid < lo:  # pragma: no cover - float sanity
-                raise VerdictConflictError("bisection drift", verdicts=tuple(probes))
             lo = mid
         else:
             hi = mid

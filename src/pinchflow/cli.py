@@ -12,6 +12,7 @@ import json
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import asdict, fields
 
 from . import flow as flowmod
 from . import identities, reports
@@ -22,7 +23,6 @@ from .errors import (
     ConvexityLossError,
     DomainError,
     ResolutionError,
-    VerdictConflictError,
 )
 from .speeds import FAMILIES, set_derivative_corruption
 
@@ -33,17 +33,7 @@ EXIT_NUMERIC = 3
 
 MONOTONE_TOL = 1e-3
 
-_FLOW_FIELDS = {
-    "family": str,
-    "alpha": float,
-    "a": float,
-    "b": float,
-    "n_nodes": int,
-    "safety": float,
-    "stop_fraction": float,
-    "max_steps": int,
-    "record_every": int,
-}
+_FLOW_FIELDS = {f.name: f.type for f in fields(flowmod.FlowConfig)}
 
 
 def _load_config_file(path):
@@ -341,14 +331,7 @@ def cmd_sweep(args):
         merged = _coerce(dict(entry), _FLOW_FIELDS)
         configs.append(_flow_config(merged))
     out = _ensure_out(args.out)
-    items = [
-        (
-            i,
-            {k: getattr(c, k) for k in _FLOW_FIELDS},
-            out,
-        )
-        for i, c in enumerate(configs)
-    ]
+    items = [(i, asdict(c), out) for i, c in enumerate(configs)]
     if workers == 1 or len(items) == 1:
         results = [_sweep_worker(item) for item in items]
     else:
@@ -439,18 +422,9 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as err:
+    except (ConfigError, BracketError, DomainError, ResolutionError) as err:
         print(f"config error: {err}", file=sys.stderr)
         return EXIT_CONFIG
-    except BracketError as err:
-        print(f"config error: {err}", file=sys.stderr)
-        return EXIT_CONFIG
-    except (DomainError, ResolutionError) as err:
-        print(f"config error: {err}", file=sys.stderr)
-        return EXIT_CONFIG
-    except VerdictConflictError as err:
-        print(f"numerical failure: {err}", file=sys.stderr)
-        return EXIT_NUMERIC
 
 
 if __name__ == "__main__":  # pragma: no cover

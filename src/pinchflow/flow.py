@@ -3,8 +3,17 @@
 State is the support function s(theta) on a uniform grid over [0, pi].  The
 principal radii split into a meridian radius s'' + s and a rotational radius
 cot(theta) s' + s; both collapse to s'' + s at the axis, which the even
-ghost-node reflection supplies without one-sided stencils.  Time stepping is
-explicit midpoint with a parabolic CFL cap, halving on convexity rejection.
+ghost-node reflection supplies without one-sided stencils.  That stencil
+lives in one function, `_radii`, used by `radii_from_support`, `diagnostics`
+and the stepper.
+
+Time stepping is explicit midpoint with a parabolic CFL cap, halving on
+convexity rejection.  Two array kernels make up the stepper: `_rate_and_cap`
+(the rate -k^(-alpha) and the cap) and `_midpoint` (one step, or a
+rejection).  `run` loops over them on bare arrays; `step` and `adaptive_dt`
+wrap the same kernels for one SupportProfile, so iterating
+`step(p, speed, adaptive_dt(p, speed, safety))` reproduces `run` bit for bit
+while no step is rejected.
 
 Grids are kept mirror-symmetric bit for bit: the cotangent table and the
 built-in initial profiles are constructed on the upper half and reflected,
@@ -13,7 +22,7 @@ flow (the acceptance checks rely on this).
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -23,7 +32,7 @@ from .errors import (
     ResolutionError,
     StepRejectedError,
 )
-from .speeds import SpeedFunction, _f_derivs, _k_derivs
+from .speeds import SpeedFunction, _k_derivs
 
 _trapz = getattr(np, "trapezoid", None) or np.trapz
 
@@ -114,28 +123,59 @@ def ellipsoid_radii(a, b, theta):
     return RadiiField(r1=a * a * b * b / s**3, r2=b * b / s)
 
 
-def _derivatives(profile):
-    s = profile.s
-    d = profile.dtheta
+def _radii(s, d, cot):
+    """The finite-difference stencil: even reflection of s across each pole,
+    then central differences.  Returns the meridian radius s'' + s, the
+    rotational radius cot s' + s (both s'' + s at the poles) and the
+    undivided central difference s[i+1] - s[i-1] = 2 d s'."""
     sp = np.empty(s.size + 2)
     sp[1:-1] = s
     sp[0] = s[1]  # even reflection across each pole
     sp[-1] = s[-2]
-    s_th = (sp[2:] - sp[:-2]) / (2.0 * d)
-    s_thth = (sp[2:] - 2.0 * s + sp[:-2]) / (d * d)
-    return s_th, s_thth
-
-
-def radii_from_support(profile) -> RadiiField:
-    """Principal radii on the grid; raises ConvexityLossError when either
-    radius is nonpositive anywhere (the flow operator is undefined there)."""
-    s = profile.s
-    s_th, s_thth = _derivatives(profile)
-    r1 = s_thth + s
-    r2 = _cot_table(profile.theta) * s_th + s
+    diff = sp[2:] - sp[:-2]
+    r1 = (sp[2:] - 2.0 * s + sp[:-2]) / (d * d) + s
+    r2 = cot * diff / (2.0 * d) + s
     r2[0] = r1[0]
     r2[-1] = r1[-1]
-    if r1.min() <= 0 or r2.min() <= 0:
+    return r1, r2, diff
+
+
+def _convex(r1, r2):
+    return r1.min() > 0 and r2.min() > 0
+
+
+def _rate_and_cap(family, alpha, r1, r2):
+    """ds/dt = -k^(-alpha) and the parabolic CFL cap max(df1 + df2), where
+    df_i = alpha k^-(1+alpha) dk_i is the linearization's diffusion trace."""
+    kd = _k_derivs(family, alpha, r1, r2)
+    k = kd[0]
+    a = k ** (-(1.0 + alpha))
+    return -(a * k), float(np.max(alpha * a * (kd[1] + kd[2])))
+
+
+def _midpoint(family, alpha, s, rate0, dt, d, cot):
+    """One explicit midpoint step from s, whose rate is rate0.  Returns the
+    new (s, r1, r2), or None when the midpoint loses convexity or the result
+    loses convexity or positivity (the caller halves dt)."""
+    s_mid = s + (0.5 * dt) * rate0
+    rm1, rm2, _ = _radii(s_mid, d, cot)
+    if not _convex(rm1, rm2):
+        return None
+    k_mid = _k_derivs(family, alpha, rm1, rm2)[0]
+    s_new = s + dt * (-(k_mid ** (-alpha)))
+    r1, r2, _ = _radii(s_new, d, cot)
+    if not _convex(r1, r2) or s_new.min() <= 0:
+        return None
+    return s_new, r1, r2
+
+
+def _profile_radii(profile):
+    """Radii of a profile and its slope s'; raises ConvexityLossError when
+    either radius is nonpositive anywhere (the flow operator is undefined
+    there)."""
+    d = profile.dtheta
+    r1, r2, diff = _radii(profile.s, d, _cot_table(profile.theta))
+    if not _convex(r1, r2):
         node = int(np.argmin(np.minimum(r1, r2)))
         raise ConvexityLossError(
             f"convexity lost at node {node} (theta={profile.theta[node]:.6f}): "
@@ -144,18 +184,17 @@ def radii_from_support(profile) -> RadiiField:
             r1=float(r1[node]),
             r2=float(r2[node]),
         )
-    return RadiiField(r1=r1, r2=r2)
+    return RadiiField(r1=r1, r2=r2), diff / (2.0 * d)
 
 
-def _speed_rate(profile, speed):
-    """ds/dt = -k^(-alpha) on the grid."""
-    rf = radii_from_support(profile)
-    k = _k_derivs(speed.family, float(speed.alpha), rf.r1, rf.r2)[0]
-    return -(k ** (-float(speed.alpha)))
+def radii_from_support(profile) -> RadiiField:
+    """Principal radii on the grid; raises ConvexityLossError when either
+    radius is nonpositive anywhere."""
+    return _profile_radii(profile)[0]
 
 
 def step(profile, speed, dt) -> SupportProfile:
-    """One explicit midpoint step, output revalidated.  dt = 0 returns a
+    """One explicit midpoint step, the one `run` takes.  dt = 0 returns a
     copy; negative/non-finite dt, or a step that loses positivity or
     convexity, is rejected (the caller halves dt)."""
     if not (math.isfinite(dt) and dt >= 0):
@@ -163,26 +202,28 @@ def step(profile, speed, dt) -> SupportProfile:
     if dt == 0.0:
         return SupportProfile(profile.theta, profile.s.copy(), profile.time)
     t_new = profile.time + dt
-    try:
-        rate0 = _speed_rate(profile, speed)
-        mid = SupportProfile(profile.theta, profile.s + 0.5 * dt * rate0)
-        rate1 = _speed_rate(mid, speed)
-        out = SupportProfile(profile.theta, profile.s + dt * rate1, t_new)
-        radii_from_support(out)
-    except (DomainError, ConvexityLossError) as err:
-        raise StepRejectedError(f"step to t={t_new} rejected: {err}") from err
-    return out
+    family, alpha = speed.family, float(speed.alpha)
+    d, cot = profile.dtheta, _cot_table(profile.theta)
+    r1, r2, _ = _radii(profile.s, d, cot)
+    out = None
+    if _convex(r1, r2):
+        rate0 = _rate_and_cap(family, alpha, r1, r2)[0]
+        out = _midpoint(family, alpha, profile.s, rate0, dt, d, cot)
+    if out is None:
+        raise StepRejectedError(
+            f"step to t={t_new} rejected: convexity or positivity lost"
+        )
+    return SupportProfile(profile.theta, out[0], t_new)
 
 
 def adaptive_dt(profile, speed, safety=0.25):
-    """Parabolic cap: safety * dtheta^2 / max(df1 + df2), the trace of the
-    linearization's diffusion coefficient."""
+    """The time step `run` starts from: safety * dtheta^2 / max(df1 + df2)."""
     if not 0 < safety <= 0.5:
         raise DomainError("safety must lie in (0, 0.5]")
     rf = radii_from_support(profile)
-    fd = _f_derivs(speed.family, float(speed.alpha), rf.r1, rf.r2)
-    diff = np.max(fd[1] + fd[2])
-    return float(safety * profile.dtheta**2 / diff)
+    d = profile.dtheta
+    cap = _rate_and_cap(speed.family, float(speed.alpha), rf.r1, rf.r2)[1]
+    return float(safety * (d * d) / cap)
 
 
 def pinching_sup(rf: RadiiField, alpha):
@@ -203,10 +244,9 @@ def diagnostics(profile, alpha, speed=None):
     per-node max ratio supremum, circumradius/inradius about the axial
     Steiner point (documented estimators, heuristic near strong anisotropy),
     and min |speed| when a speed function is supplied."""
-    rf = radii_from_support(profile)
+    rf, s_th = _profile_radii(profile)
     th = profile.theta
     s = profile.s
-    s_th, _ = _derivatives(profile)
     q = _center_estimate(profile)
     x = s * np.sin(th) + s_th * np.cos(th)
     z = s * np.cos(th) - s_th * np.sin(th)
@@ -253,21 +293,7 @@ class FlowRecord:
         return tuple(getattr(self, c) for c in TRACE_COLUMNS)
 
 
-TRACE_COLUMNS = (
-    "step",
-    "t",
-    "dt",
-    "min_support",
-    "max_support",
-    "pinch_sup",
-    "min_radius",
-    "max_radius",
-    "max_ratio",
-    "circumradius",
-    "inradius",
-    "min_abs_speed",
-    "center_z",
-)
+TRACE_COLUMNS = tuple(f.name for f in fields(FlowRecord))
 
 
 @dataclass
@@ -318,17 +344,7 @@ class FlowTrace:
 
     def summary_dict(self):
         return {
-            "config": {
-                "family": self.config.family,
-                "alpha": self.config.alpha,
-                "a": self.config.a,
-                "b": self.config.b,
-                "n_nodes": self.config.n_nodes,
-                "safety": self.config.safety,
-                "stop_fraction": self.config.stop_fraction,
-                "max_steps": self.config.max_steps,
-                "record_every": self.config.record_every,
-            },
+            "config": asdict(self.config),
             "status": self.status,
             "steps": self.steps,
             "t_final": self.t_final,
@@ -348,32 +364,17 @@ class FlowTrace:
 
 def _record(records, n, t, dt, profile, alpha, speed):
     d = diagnostics(profile, alpha, speed=speed)
-    records.append(
-        FlowRecord(
-            step=n,
-            t=t,
-            dt=dt,
-            min_support=d["min_support"],
-            max_support=d["max_support"],
-            pinch_sup=d["pinch_sup"],
-            min_radius=d["min_radius"],
-            max_radius=d["max_radius"],
-            max_ratio=d["max_ratio"],
-            circumradius=d["circumradius"],
-            inradius=d["inradius"],
-            min_abs_speed=d["min_abs_speed"],
-            center_z=d["center_z"],
-        )
-    )
+    d.update(step=n, t=t, dt=dt)
+    records.append(FlowRecord(**{c: d[c] for c in TRACE_COLUMNS}))
 
 
 def run(config: FlowConfig, profile=None) -> FlowTrace:
     """Integrate until the minimum support drops below stop_fraction of its
-    initial value (or max_steps).  A convexity loss that survives eight dt
-    halvings aborts with the partial trace attached to the exception.
-
-    The loop works on bare arrays with a cached cotangent table — the
-    per-step dataclass and trig rebuild costs dominate otherwise.
+    initial value (or max_steps).  Each step starts from the `adaptive_dt`
+    cap and takes the `step` midpoint update through the same kernels,
+    halving dt on rejection; a rejection that survives eight halvings aborts
+    with the partial trace attached to the exception.  The loop carries bare
+    arrays, since a SupportProfile per step would re-validate the grid.
     """
     alpha = float(config.alpha)
     fam = config.family
@@ -383,19 +384,7 @@ def run(config: FlowConfig, profile=None) -> FlowTrace:
     theta = profile.theta
     cot = _cot_table(theta)
     d = profile.dtheta
-    d2 = d * d
     safety = config.safety
-
-    def radii(arr):
-        sp = np.empty(arr.size + 2)
-        sp[1:-1] = arr
-        sp[0] = arr[1]
-        sp[-1] = arr[-2]
-        r1 = (sp[2:] - 2.0 * arr + sp[:-2]) / d2 + arr
-        r2 = cot * (sp[2:] - sp[:-2]) / (2.0 * d) + arr
-        r2[0] = r1[0]
-        r2[-1] = r1[-1]
-        return r1, r2
 
     records = []
     t = 0.0
@@ -404,45 +393,28 @@ def run(config: FlowConfig, profile=None) -> FlowTrace:
     s = profile.s.copy()
     s0_min = float(s.min())
     target = config.stop_fraction * s0_min
-    r1, r2 = radii(s)
-    status = None
+    try:
+        rf = radii_from_support(profile)
+    except ConvexityLossError as err:
+        err.trace = _partial(config, records, n, t, profile)
+        raise
+    r1, r2 = rf.r1, rf.r2
+    _record(records, n, t, dt, profile, alpha, speed)
     while True:
-        if r1.min() <= 0 or r2.min() <= 0:
-            err = ConvexityLossError(
-                f"convexity lost at t={t:.6e}",
-                node=int(np.argmin(np.minimum(r1, r2))),
-            )
-            err.trace = _partial(config, records, n, t, SupportProfile(theta, s, t))
-            raise err
-        if n == 0:
-            _record(records, n, t, dt, profile, alpha, speed)
-        kd = _k_derivs(fam, alpha, r1, r2)
-        k = kd[0]
-        a = k ** (-(1.0 + alpha))
-        dt = safety * d2 / float(np.max(alpha * a * (kd[1] + kd[2])))
-        rate0 = -(a * k)
-        accepted = False
+        rate0, cap = _rate_and_cap(fam, alpha, r1, r2)
+        dt = safety * (d * d) / cap
         for _ in range(8):
-            s_mid = s + (0.5 * dt) * rate0
-            rm1, rm2 = radii(s_mid)
-            if rm1.min() <= 0 or rm2.min() <= 0:
-                dt *= 0.5
-                continue
-            k_mid = _k_derivs(fam, alpha, rm1, rm2)[0]
-            s_new = s + dt * (-(k_mid ** (-alpha)))
-            rn1, rn2 = radii(s_new)
-            if rn1.min() <= 0 or rn2.min() <= 0 or s_new.min() <= 0:
-                dt *= 0.5
-                continue
-            accepted = True
-            break
-        if not accepted:
+            out = _midpoint(fam, alpha, s, rate0, dt, d, cot)
+            if out is not None:
+                break
+            dt *= 0.5
+        else:
             err = ConvexityLossError(
                 f"convexity lost at t={t:.6e} despite dt halving", node=-1
             )
             err.trace = _partial(config, records, n, t, SupportProfile(theta, s, t))
             raise err
-        s, r1, r2 = s_new, rn1, rn2
+        s, r1, r2 = out
         t += dt
         n += 1
         if n % config.record_every == 0:
@@ -510,13 +482,7 @@ class ExtinctionEstimate:
     low_confidence: bool
 
     def to_json_dict(self):
-        return {
-            "t_extinct": self.t_extinct,
-            "slope": self.slope,
-            "rows_used": self.rows_used,
-            "center_z": self.center_z,
-            "low_confidence": self.low_confidence,
-        }
+        return asdict(self)
 
 
 def extinction_estimate(trace: FlowTrace) -> ExtinctionEstimate:

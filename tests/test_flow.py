@@ -161,6 +161,22 @@ def test_adaptive_dt_scaling():
     assert dts[0] > dts[1] > dts[2]
 
 
+@pytest.mark.parametrize("family", ["gauss_power", "mean_power", "norm_power", "sum_power"])
+@pytest.mark.parametrize("alpha", [1.0, 1.5, 2.0])
+def test_step_and_run_agree_bit_for_bit(family, alpha):
+    cfg = FlowConfig(
+        family, alpha, a=2.0, b=1.0, n_nodes=51, max_steps=20, record_every=1
+    )
+    trace = run(cfg)
+    assert trace.status == "max_steps" and trace.steps == 20
+    speed = cfg.speed()
+    p = cfg.initial_profile()
+    for _ in range(20):
+        p = step(p, speed, adaptive_dt(p, speed, cfg.safety))
+    assert np.array_equal(p.s, trace.profile.s)
+    assert p.time == trace.t_final
+
+
 # --- diagnostics -----------------------------------------------------------
 
 
