@@ -24,7 +24,7 @@ from .errors import (
     DomainError,
     ResolutionError,
 )
-from .speeds import FAMILIES, set_derivative_corruption
+from .speeds import FAMILIES
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
@@ -33,6 +33,18 @@ EXIT_NUMERIC = 3
 
 MONOTONE_TOL = 1e-3
 
+# Each command's parameters, name -> type.  The flags (--t-max for t_max), the
+# config-file keys and the coercion all come from these tables; defaults and
+# range checks belong to the library functions the commands call.
+_IDENTITY_FIELDS = {"draws": int, "seed": int}
+_QSIGN_FIELDS = {"family": str, "alpha": float, "t_max": float, "depth_limit": int}
+_THRESHOLD_FIELDS = {
+    "family": str,
+    "alpha_lo": float,
+    "alpha_hi": float,
+    "tol": float,
+    "t_max": float,
+}
 _FLOW_FIELDS = {f.name: f.type for f in fields(flowmod.FlowConfig)}
 
 
@@ -49,44 +61,37 @@ def _load_config_file(path):
     return doc
 
 
-def _merge(args, fields, extra_ok=()):
-    """defaults < config file < explicit flags, with unknown-key rejection."""
-    merged = {}
-    if getattr(args, "config", None):
-        doc = _load_config_file(args.config)
-        for key, value in doc.items():
-            if key not in fields and key not in extra_ok:
-                raise ConfigError(f"field {key!r}: not recognized by this command")
-            merged[key] = value
-    for key in fields:
-        flag_value = getattr(args, key, None)
-        if flag_value is not None:
-            merged[key] = flag_value
-    return merged
+def _coerce(entry, table):
+    """Convert each non-null value of `entry` to its table type; unknown keys
+    are rejected and null values dropped, so the library default applies."""
+    coerced = {}
+    for key, value in entry.items():
+        if key not in table:
+            raise ConfigError(f"field {key!r}: not recognized by this command")
+        if value is None:
+            continue
+        try:
+            coerced[key] = table[key](value)
+        except (TypeError, ValueError):
+            raise ConfigError(f"field {key!r}: cannot convert {value!r}")
+    return coerced
 
 
-def _coerce(merged, types):
-    for key, value in merged.items():
-        if key in types and value is not None:
-            try:
-                merged[key] = types[key](value)
-            except (TypeError, ValueError):
-                raise ConfigError(f"field {key!r}: cannot convert {value!r}")
-    return merged
+def _params(args):
+    """The command's parameters: config file < explicit flags, coerced.  Only
+    the keys given either way are present."""
+    given = _load_config_file(args.config) if args.config else {}
+    for key in args.table:
+        if getattr(args, key) is not None:
+            given[key] = getattr(args, key)
+    return _coerce(given, args.table)
 
 
-def _require(merged, key):
-    if merged.get(key) is None:
+def _require(params, key):
+    """Remove and return a parameter that has no library default."""
+    if key not in params:
         raise ConfigError(f"field {key!r}: required")
-    return merged[key]
-
-
-def _check_family(name):
-    if name not in FAMILIES:
-        raise ConfigError(
-            f"field 'family': {name!r} not one of {', '.join(FAMILIES)}"
-        )
-    return name
+    return params.pop(key)
 
 
 def _ensure_out(out):
@@ -100,19 +105,11 @@ def _ensure_out(out):
 
 
 def cmd_verify_identities(args):
-    merged = _coerce(
-        _merge(args, ("draws", "seed")), {"draws": int, "seed": int}
-    )
-    draws = merged.get("draws", 10000)
-    seed = merged.get("seed", 0)
-    if draws <= 0:
+    params = _params(args)
+    if "draws" in params and params["draws"] <= 0:
         raise ConfigError("field 'draws': must be positive")
     out = _ensure_out(args.out)
-    set_derivative_corruption(args.corrupt)
-    try:
-        result = identities.run_all(draws=draws, seed=seed)
-    finally:
-        set_derivative_corruption(None)
+    result = identities.run_all(**params)
     for suite in result["suites"]:
         worst = suite.get("worst_ratio", suite.get("worst_rel"))
         status = "ok" if suite["pass"] else "EXCEEDED"
@@ -129,19 +126,10 @@ def cmd_verify_identities(args):
 
 
 def cmd_q_sign(args):
-    merged = _coerce(
-        _merge(args, ("family", "alpha", "t_max", "depth_limit")),
-        {"family": str, "alpha": float, "t_max": float, "depth_limit": int},
-    )
-    family = _check_family(_require(merged, "family"))
-    alpha = _require(merged, "alpha")
-    if not alpha > 0:
-        raise ConfigError("field 'alpha': must be positive")
-    t_max = merged.get("t_max", 1e6)
-    depth_limit = merged.get("depth_limit", 60)
-    report = certify_nonpositive(
-        family, alpha=alpha, t_max=t_max, depth_limit=depth_limit
-    )
+    params = _params(args)
+    family = _require(params, "family")
+    alpha = _require(params, "alpha")
+    report = certify_nonpositive(family, alpha, **params)
     line = f"{family} alpha={alpha:g}: {report.verdict}"
     if report.verdict == "violated":
         line += f"  witness t={report.witness_t:.6g} q={report.witness_q:.3e}"
@@ -161,26 +149,11 @@ def cmd_q_sign(args):
 
 
 def cmd_threshold(args):
-    merged = _coerce(
-        _merge(args, ("family", "alpha_lo", "alpha_hi", "tol", "t_max")),
-        {
-            "family": str,
-            "alpha_lo": float,
-            "alpha_hi": float,
-            "tol": float,
-            "t_max": float,
-        },
-    )
-    family = _check_family(_require(merged, "family"))
-    lo = _require(merged, "alpha_lo")
-    hi = _require(merged, "alpha_hi")
-    tol = merged.get("tol", 0.05)
-    t_max = merged.get("t_max", 1e6)
-    if not 0 < lo < hi:
-        raise ConfigError("field 'alpha_lo': need 0 < alpha_lo < alpha_hi")
-    if not tol > 0:
-        raise ConfigError("field 'tol': must be positive")
-    result = find_threshold(family, (lo, hi), tol, t_max=t_max)
+    params = _params(args)
+    family = _require(params, "family")
+    bracket = (_require(params, "alpha_lo"), _require(params, "alpha_hi"))
+    params.setdefault("tol", 0.05)  # find_threshold has no default tolerance
+    result = find_threshold(family, bracket, **params)
     mid = 0.5 * (result.alpha_lo + result.alpha_hi)
     print(
         f"{family}: threshold in [{result.alpha_lo:.6g}, {result.alpha_hi:.6g}]"
@@ -196,12 +169,11 @@ def cmd_threshold(args):
 # flow
 
 
-def _flow_config(merged):
-    kwargs = {k: v for k, v in merged.items() if v is not None}
-    _check_family(_require(kwargs, "family"))
-    _require(kwargs, "alpha")
+def _flow_config(params):
+    family = _require(params, "family")
+    alpha = _require(params, "alpha")
     try:
-        return flowmod.FlowConfig(**kwargs)
+        return flowmod.FlowConfig(family, alpha, **params)
     except (ValueError, TypeError) as err:
         raise ConfigError(str(err))
 
@@ -250,8 +222,7 @@ def _run_flow(config, out):
 
 
 def cmd_flow(args):
-    merged = _coerce(_merge(args, tuple(_FLOW_FIELDS)), _FLOW_FIELDS)
-    config = _flow_config(merged)
+    config = _flow_config(_params(args))
     out = _ensure_out(args.out)
     code, summary = _run_flow(config, out)
     mono = summary["monotonicity"]["monotone"]
@@ -300,10 +271,6 @@ def _expand_sweep(doc):
         for key in keys:
             combos = [{**c, key: v} for c in combos for v in axes[key]]
         runs = [{**base, **combo} for combo in combos]
-    for entry in runs:
-        for key in entry:
-            if key not in _FLOW_FIELDS:
-                raise ConfigError(f"field {key!r}: not a flow parameter")
     return runs
 
 
@@ -325,11 +292,9 @@ def cmd_sweep(args):
     workers = args.workers if args.workers is not None else (os.cpu_count() or 1)
     if workers < 1:
         raise ConfigError("field 'workers': must be >= 1")
-    run_dicts = _expand_sweep(doc)
-    configs = []
-    for entry in run_dicts:
-        merged = _coerce(dict(entry), _FLOW_FIELDS)
-        configs.append(_flow_config(merged))
+    configs = [
+        _flow_config(_coerce(entry, _FLOW_FIELDS)) for entry in _expand_sweep(doc)
+    ]
     out = _ensure_out(args.out)
     items = [(i, asdict(c), out) for i, c in enumerate(configs)]
     if workers == 1 or len(items) == 1:
@@ -359,9 +324,20 @@ def cmd_sweep(args):
 # parser
 
 
-def _add_common(sub):
-    sub.add_argument("--config", help="JSON file supplying any of this command's fields")
-    sub.add_argument("--out", help="directory for report files")
+def _add_command(subs, name, func, table, help):
+    """A subcommand with one flag per table field plus --config and --out."""
+    p = subs.add_parser(name, help=help)
+    for key, kind in table.items():
+        p.add_argument(
+            "--" + key.replace("_", "-"),
+            dest=key,
+            type=kind,
+            choices=FAMILIES if key == "family" else None,
+        )
+    p.add_argument("--config", help="JSON file supplying any of this command's fields")
+    p.add_argument("--out", help="directory for report files")
+    p.set_defaults(func=func, table=table)
+    return p
 
 
 def build_parser():
@@ -370,51 +346,38 @@ def build_parser():
         description="sign certificates and axisymmetric flows for homogeneous curvature speeds",
     )
     subs = parser.add_subparsers(dest="command", required=True)
-
-    p = subs.add_parser(
-        "verify-identities", help="randomized identity suites (status 1 on any exceed)"
+    _add_command(
+        subs,
+        "verify-identities",
+        cmd_verify_identities,
+        _IDENTITY_FIELDS,
+        help="randomized identity suites (status 1 on any exceed)",
     )
-    p.add_argument("--draws", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--corrupt", choices=("fdot", "fddot"), help=argparse.SUPPRESS)
-    _add_common(p)
-    p.set_defaults(func=cmd_verify_identities)
-
-    p = subs.add_parser("q-sign", help="certify Q1, Q2 <= 0 over the ratio ray")
-    p.add_argument("--family", choices=FAMILIES)
-    p.add_argument("--alpha", type=float)
-    p.add_argument("--t-max", dest="t_max", type=float)
-    p.add_argument("--depth-limit", dest="depth_limit", type=int)
-    _add_common(p)
-    p.set_defaults(func=cmd_q_sign)
-
-    p = subs.add_parser("threshold", help="bisect the largest certifiable exponent")
-    p.add_argument("--family", choices=FAMILIES)
-    p.add_argument("--alpha-lo", dest="alpha_lo", type=float)
-    p.add_argument("--alpha-hi", dest="alpha_hi", type=float)
-    p.add_argument("--tol", type=float)
-    p.add_argument("--t-max", dest="t_max", type=float)
-    _add_common(p)
-    p.set_defaults(func=cmd_threshold)
-
-    p = subs.add_parser("flow", help="integrate the axisymmetric support-function flow")
-    p.add_argument("--family", choices=FAMILIES)
-    p.add_argument("--alpha", type=float)
-    p.add_argument("--a", type=float)
-    p.add_argument("--b", type=float)
-    p.add_argument("--n-nodes", dest="n_nodes", type=int)
-    p.add_argument("--safety", type=float)
-    p.add_argument("--stop-fraction", dest="stop_fraction", type=float)
-    p.add_argument("--max-steps", dest="max_steps", type=int)
-    p.add_argument("--record-every", dest="record_every", type=int)
-    _add_common(p)
-    p.set_defaults(func=cmd_flow)
-
-    p = subs.add_parser("sweep", help="run a batch of flows on a worker pool")
+    _add_command(
+        subs,
+        "q-sign",
+        cmd_q_sign,
+        _QSIGN_FIELDS,
+        help="certify Q1, Q2 <= 0 over the ratio ray",
+    )
+    _add_command(
+        subs,
+        "threshold",
+        cmd_threshold,
+        _THRESHOLD_FIELDS,
+        help="bisect the largest certifiable exponent",
+    )
+    _add_command(
+        subs,
+        "flow",
+        cmd_flow,
+        _FLOW_FIELDS,
+        help="integrate the axisymmetric support-function flow",
+    )
+    p = _add_command(
+        subs, "sweep", cmd_sweep, {}, help="run a batch of flows on a worker pool"
+    )
     p.add_argument("--workers", type=int)
-    _add_common(p)
-    p.set_defaults(func=cmd_sweep)
-
     return parser
 
 

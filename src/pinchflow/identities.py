@@ -4,6 +4,13 @@ These back both the CLI `verify-identities` command and the acceptance
 tests: the zero-order cancellation, the agreement of the two independent
 gradient-term routes for the gauss family, and the reduction of the full
 quadratic form to the (Q1, Q2) combination.
+
+What each suite can catch: Z and the reduction are algebraic identities in
+the derivative values (Z expands to 0 for any f, f1, f2), so they measure
+floating-point rounding only; a wrong derivative passes them.
+`closed_agreement` compares two independent routes, the raw assembly from
+the chain-rule derivatives and the closed gauss polynomial, so it is the
+suite that catches derivative errors (on the gauss_power family it covers).
 """
 
 import numpy as np

@@ -62,7 +62,11 @@ def g_derivs(speed: SpeedFunction, r: RadiiPoint) -> GDerivs:
 
 def zero_order_term(speed: SpeedFunction, r: RadiiPoint):
     """Reaction-term combination Z; identically zero for every speed, so the
-    returned value is a pure floating-point residual (a built-in self test)."""
+    returned value is a pure floating-point residual (a built-in self test).
+
+    Z expands to 0 for any values (f, f1, f2), right or wrong, so it measures
+    rounding only; identities.closed_agreement_suite catches derivative errors.
+    """
     _require_ordered(r)
     f, f1, f2 = eval_f_derivs(speed, r)[:3]
     w = r.r2 - r.r1
@@ -158,6 +162,10 @@ def q_full_reduction_check(speed: SpeedFunction, r: RadiiPoint, T1, T2):
     constraints and the Codazzi symmetries, with the slack directions scaled
     by lambda_i = sqrt(-2/f)/|gdot_i| so the reduction lands in the same
     normalization as gradient_terms_general.  Contract: residual ~ 0.
+
+    Both sides are built from the same derivative values and agree
+    algebraically for any of them, so the residual measures rounding only;
+    identities.closed_agreement_suite catches derivative errors.
     """
     q_full, combo = _q_full_and_combo(speed, r, T1, T2)
     return q_full - combo

@@ -136,18 +136,6 @@ def _k_derivs(family, alpha, r1, r2, ops=NUMPY_OPS):
     raise DomainError(f"unknown family {family!r}")
 
 
-# test-harness corruption hook (negative control for the identity suites);
-# never set outside tests / the hidden CLI flag
-_CORRUPTION = None
-
-
-def set_derivative_corruption(tag):
-    global _CORRUPTION
-    if tag not in (None, "fdot", "fddot"):
-        raise ValueError(f"unknown corruption tag {tag!r}")
-    _CORRUPTION = tag
-
-
 def _f_derivs(family, alpha, r1, r2, ops=NUMPY_OPS):
     """f = -k^(-alpha) and derivatives via the homogeneity chain rule:
 
@@ -163,10 +151,6 @@ def _f_derivs(family, alpha, r1, r2, ops=NUMPY_OPS):
     f11 = c2 * k1 * k1 + c1 * k11
     f12 = c2 * k1 * k2 + c1 * k12
     f22 = c2 * k2 * k2 + c1 * k22
-    if _CORRUPTION == "fdot":
-        f1 = f1 * (1 + 1e-6)
-    elif _CORRUPTION == "fddot":
-        f12 = f12 * (1 + 1e-6)
     return -ka, f1, f2, f11, f12, f22
 
 

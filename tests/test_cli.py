@@ -8,7 +8,7 @@ import sys
 
 import pytest
 
-from pinchflow import cli
+from pinchflow import cli, pinching, speeds
 from pinchflow.errors import ConvexityLossError
 from pinchflow.reports import strip_timestamp
 
@@ -34,11 +34,27 @@ def test_verify_identities_seed_independent_status():
     assert invoke("verify-identities", "--draws", "400", "--seed", "12345") == 0
 
 
-def test_verify_identities_negative_control():
-    # the hidden corruption hook must trip the independent-route comparison
-    assert invoke("verify-identities", "--draws", "200", "--corrupt", "fdot") == 1
-    assert invoke("verify-identities", "--draws", "200", "--corrupt", "fddot") == 1
-    # and must not leak into later runs
+def test_verify_identities_negative_control(tmp_path):
+    # a 1e-6 relative error in fdot or in fddot must trip the comparison of the
+    # two independent gradient-term routes; Z and the reduction are algebraic
+    # identities in the derivative values and cannot see it
+    exact = speeds._f_derivs
+    for index, name in ((1, "fdot"), (4, "fddot")):  # f1, then f12
+
+        def corrupted(*args, index=index):
+            fd = list(exact(*args))
+            fd[index] = fd[index] * (1 + 1e-6)
+            return tuple(fd)
+
+        out = tmp_path / name
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(speeds, "_f_derivs", corrupted)
+            mp.setattr(pinching, "_f_derivs", corrupted)
+            code = invoke("verify-identities", "--draws", "200", "--out", str(out))
+        assert code == 1, name
+        doc = json.loads((out / "identities.json").read_text())
+        failing = [suite["suite"] for suite in doc["suites"] if not suite["pass"]]
+        assert failing == ["closed_agreement"], name
     assert invoke("verify-identities", "--draws", "200") == 0
 
 
@@ -102,6 +118,54 @@ def test_q_sign_config_file(tmp_path):
     # unknown keys are rejected with the field named
     cfg.write_text(json.dumps({"family": "gauss_power", "alpha": 2.0, "spam": 1}))
     assert invoke("q-sign", "--config", str(cfg)) == 2
+
+
+# --- config files ------------------------------------------------------------
+
+# per command: a config carrying its fields, and the field it gives as a
+# numeric string
+CONFIG_CASES = {
+    "threshold": (
+        {"family": "gauss_power", "alpha_lo": "1.5", "alpha_hi": 3.0, "tol": 0.05},
+        "alpha_lo",
+    ),
+    "verify-identities": ({"draws": "200", "seed": 0}, "draws"),
+    "flow": (
+        {"family": "gauss_power", "alpha": 2.0, "n_nodes": "33", "stop_fraction": 0.2},
+        "n_nodes",
+    ),
+}
+
+
+def stripped_reports(out):
+    return {
+        p.name: strip_timestamp(p.read_text()) if p.suffix == ".json" else p.read_text()
+        for p in sorted(out.iterdir())
+    }
+
+
+@pytest.mark.parametrize("command", sorted(CONFIG_CASES))
+def test_config_file_matches_flags(tmp_path, capsys, command):
+    doc, string_key = CONFIG_CASES[command]
+    flags = [
+        arg
+        for key, value in doc.items()
+        for arg in ("--" + key.replace("_", "-"), str(value))
+    ]
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(doc))
+    code = invoke(command, *flags, "--out", str(tmp_path / "flags"))
+    flags_stdout = capsys.readouterr().out
+    assert invoke(command, "--config", str(cfg), "--out", str(tmp_path / "file")) == code
+    assert capsys.readouterr().out == flags_stdout
+    assert stripped_reports(tmp_path / "file") == stripped_reports(tmp_path / "flags")
+
+    bad = tmp_path / "bad"
+    cfg.write_text(json.dumps({**doc, "spam": 1}))
+    assert invoke(command, "--config", str(cfg), "--out", str(bad)) == 2
+    cfg.write_text(json.dumps({**doc, string_key: "not a number"}))
+    assert invoke(command, "--config", str(cfg), "--out", str(bad)) == 2
+    assert not bad.exists()
 
 
 # --- threshold ---------------------------------------------------------------
@@ -331,10 +395,15 @@ def test_sweep_deterministic_across_worker_counts(tmp_path):
 
 
 def test_console_entry_point():
+    # the child imports the same package as this process, installed or not
+    package_root = os.path.dirname(os.path.dirname(cli.__file__))
+    path = [package_root, os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
     proc = subprocess.run(
         [sys.executable, "-m", "pinchflow.cli", "q-sign", "--family", "gauss_power", "--alpha", "1.0"],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert proc.returncode == 0
     assert "nonpositive_certified" in proc.stdout
