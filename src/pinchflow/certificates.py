@@ -25,9 +25,11 @@ import numpy as np
 
 from .errors import BracketError, DomainError
 from .pinching import (
+    _gauss_closed,
     _gradient_terms_raw,
-    closed_numerator_coeffs,
+    closed_numerators,
     gradient_terms_general_arrays,
+    horner,
 )
 from .speeds import SpeedFunction, _f_derivs, interval_ops
 
@@ -155,13 +157,6 @@ def _trim(p):
     return p[i:]
 
 
-def _peval(p, x):
-    acc = Fraction(0)
-    for c in p:
-        acc = acc * x + c
-    return acc
-
-
 def _pderiv(p):
     n = len(p) - 1
     return [c * (n - i) for i, c in enumerate(p[:-1])]
@@ -196,7 +191,7 @@ def _sturm_chain(p):
 
 
 def _variations(chain, x):
-    signs = [v for v in (_peval(p, x) for p in chain) if v != 0]
+    signs = [v for v in (horner(p, x) for p in chain) if v != 0]
     return sum(1 for a, b in zip(signs, signs[1:]) if (a > 0) != (b > 0))
 
 
@@ -269,7 +264,7 @@ def _certify_numerator(coeffs, t_hi):
         if x in seen:
             continue
         seen.add(x)
-        if _peval(p, x) > 0:
+        if horner(p, x) > 0:
             # bisect toward the left edge for a witness near the sign change,
             # staying inside the open region t > 1
             lo = left
@@ -277,7 +272,7 @@ def _certify_numerator(coeffs, t_hi):
                 if x - lo <= x / (1 << 16):
                     break
                 mid = (lo + x) / 2
-                if _peval(p, mid) > 0:
+                if horner(p, mid) > 0:
                     x = mid
                 else:
                     lo = mid
@@ -285,51 +280,27 @@ def _certify_numerator(coeffs, t_hi):
                 return False, tail_ok, x
             for k in range(40, 0, -1):  # positive at the left endpoint itself
                 cand = one + (hi - one) / (1 << k)
-                if _peval(p, cand) > 0:
+                if horner(p, cand) > 0:
                     return False, tail_ok, cand
             raise RuntimeError("positive endpoint without interior witness")
     witness = None if tail_ok else 2 * max(hi, bound)
     return True, tail_ok, witness
 
 
-def _closed_q_at(alpha, t, which, numerator):
-    """High-precision closed-form Q_i at r = (1, t) for an exact rational t.
-
-    Sign is exact (positive numerator over positive denominator), and 150-bit
-    evaluation keeps the float conversion from rounding a true positive to 0.
-    """
-    import mpmath
-
-    with mpmath.workprec(150):
-        x = mpmath.mpf(t.numerator) / t.denominator
-        n = mpmath.mpf(0)
-        for c in numerator:
-            n = n * x + mpmath.mpf(c.numerator) / c.denominator
-        d = alpha * x + (2 - alpha) if which == "q1" else alpha + (2 - alpha) * x
-        q = 2 * alpha * n / (x ** (alpha / 2 + 2) * (x - 1) * d * d)
-        return float(q)
-
-
 def _certify_gauss(speed, t_max):
     alpha = float(speed.alpha)
-    c3, c2, c1, c0 = closed_numerator_coeffs(alpha)
-    n1 = [c3, c2, c1, c0]
-    n2 = [c0, c1, c2, c3, Fraction(0), Fraction(0)]
+    n1, n2 = closed_numerators(alpha)
     t_hi = Fraction(t_max)
-    found = []  # (witness_t, which, numerator)
-    certified = True
-    for which, coeffs in (("q1", n1), ("q2", n2)):
+    found = []  # (witness_t, index of the failing Q_i)
+    for which, coeffs in enumerate((n1, n2)):
         region_ok, tail_ok, witness = _certify_numerator(coeffs, t_hi)
         if not (region_ok and tail_ok):
-            certified = False
-            found.append((witness, which, coeffs))
-    lead_note = (
-        f"leading coeffs: q1 {float(c3):.6g}, q2 {float(c0):.6g}"
-    )
+            found.append((witness, which))
+    lead_note = f"leading coeffs: q1 {float(n1[0]):.6g}, q2 {float(n2[0]):.6g}"
     report = partial(
         QReport, family=speed.family, alpha=alpha, t_lo=1.0, t_hi=float(t_max)
     )
-    if certified:
+    if not found:
         return report(
             q1_max=Fraction(0),
             q2_max=Fraction(0),
@@ -337,8 +308,16 @@ def _certify_gauss(speed, t_max):
             method=f"sturm_exact(numerators, cauchy tail); {lead_note}",
             tail="certified",
         )
-    witness_t, which, numer = min(found, key=lambda x: x[0])
-    witness_q = _closed_q_at(alpha, witness_t, which, numer)
+    witness_t, which = min(found, key=lambda x: x[0])
+    # the sign is exact (positive numerator over positive denominator), and
+    # 150-bit evaluation keeps the float conversion from rounding it to 0
+    import mpmath
+
+    def mpf(c):
+        return mpmath.mpf(c.numerator) / c.denominator
+
+    with mpmath.workprec(150):
+        witness_q = float(_gauss_closed(alpha, mpf(witness_t), mpf)[which])
     scan = sign_scan(speed, ratio_grid=log_ratio_grid(max(t_max, float(witness_t) * 2)))
     return report(
         q1_max=scan.q1_max,

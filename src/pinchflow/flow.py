@@ -343,17 +343,13 @@ class FlowTrace:
     deviation: float = None
 
     def summary_dict(self):
-        return {
-            "config": asdict(self.config),
-            "status": self.status,
-            "steps": self.steps,
-            "t_final": self.t_final,
-            "initial_min_support": self.initial_min_support,
-            "t_extinct": self.t_extinct,
-            "extinction_center": self.extinction_center,
-            "extinction_low_confidence": self.extinction_low_confidence,
-            "deviation": self.deviation,
+        out = {
+            f.name: getattr(self, f.name)
+            for f in fields(self)
+            if f.name not in ("records", "profile")
         }
+        out["config"] = asdict(self.config)
+        return out
 
     def to_json_dict(self):
         out = self.summary_dict()

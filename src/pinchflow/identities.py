@@ -10,14 +10,18 @@ the derivative values (Z expands to 0 for any f, f1, f2), so they measure
 floating-point rounding only; a wrong derivative passes them.
 `closed_agreement` compares two independent routes, the raw assembly from
 the chain-rule derivatives and the closed gauss polynomial, so it is the
-suite that catches derivative errors (on the gauss_power family it covers).
+suite that catches derivative errors, on the gauss_power family only.  A
+wrong k-derivative for mean_power, norm_power or sum_power passes all three
+suites; the tests' derivative oracles (exact sympy and finite differences in
+tests/test_speeds.py) are what catch those.
 """
 
 import numpy as np
 
 from .pinching import (
+    _gauss_closed,
+    _raw_arrays,
     gradient_terms_general,
-    gradient_terms_general_arrays,
     q_full_reduction_check,
     zero_order_term,
 )
@@ -74,9 +78,8 @@ def closed_agreement_suite(n_t=64, n_alpha=64):
     worst = 0.0
     worst_case = None
     for alpha in np.linspace(0.5, 2.0, n_alpha):
-        speed = SpeedFunction("gauss_power", float(alpha))
-        q1r, q2r = gradient_terms_general_arrays(speed, t, method="raw")
-        q1c, q2c = gradient_terms_general_arrays(speed, t, method="closed")
+        q1r, q2r = _raw_arrays(SpeedFunction("gauss_power", float(alpha)), t)
+        q1c, q2c = _gauss_closed(float(alpha), t, float)
         for raw, closed, tag in ((q1r, q1c, "q1"), (q2r, q2c, "q2")):
             rel = np.abs(raw - closed) / np.abs(closed)
             i = int(np.argmax(rel))

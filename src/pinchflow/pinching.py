@@ -5,6 +5,13 @@ surface speed, returned as a residual), the gradient-term coefficients Q1/Q2
 in general and gauss closed form, the full-Q reduction self check, and the
 alpha^3-convexity margin.
 
+Each formula is written once, over + - * / so that Fractions, floats, numpy
+arrays and mpmath numbers (intervals included) run the same code: `_gdot`
+and `_g_derivs` (G's derivatives), `_gradient_terms_raw` with `_normalize`
+(the raw Q1/Q2 assembly, any family), and `_gauss_closed` (the gauss_power
+closed form in t = r2/r1, numerators by `horner`, the evaluator the Sturm
+certificates use on the same coefficient lists).
+
 Normalization convention: the coefficients of T1^2 and T2^2 in the gradient
 reduction are only determined up to positive point-dependent factors (the
 slack variables T_i can be rescaled).  This module fixes the convention in
@@ -14,24 +21,24 @@ thresholds are unaffected; the two evaluation routes become directly
 comparable.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import sqrt
+from typing import NamedTuple
+
+import numpy as np
 
 from .errors import DomainError, PoleError, UmbilicError
 from .speeds import (
     RadiiPoint,
     SpeedFunction,
     _f_derivs,
-    _gauss_f_derivs_exact,
     _k_derivs,
     _wants_exact,
     eval_f_derivs,
 )
 
 
-@dataclass(frozen=True)
-class GDerivs:
+class GDerivs(NamedTuple):
     g1: float
     g2: float
     g11: float
@@ -46,18 +53,22 @@ def _require_ordered(r: RadiiPoint):
         raise DomainError(f"requires r2 > r1, got ({r.r1}, {r.r2})")
 
 
+def _gdot(fd, w):
+    """First radii-derivatives (g1, g2) of G from (f, fdot); generic in the
+    scalar type."""
+    f, f1, f2 = fd[:3]
+    return f - f1 * w, -f - f2 * w
+
+
+def _g_derivs(fd, w) -> GDerivs:
+    f, f1, f2, f11, f12, f22 = fd
+    return GDerivs(*_gdot(fd, w), 2 * f1 - f11 * w, f2 - f1 - f12 * w, -2 * f2 - f22 * w)
+
+
 def g_derivs(speed: SpeedFunction, r: RadiiPoint) -> GDerivs:
     """First and second radii-derivatives of G (the additive constant drops)."""
     _require_ordered(r)
-    f, f1, f2, f11, f12, f22 = eval_f_derivs(speed, r)
-    w = r.r2 - r.r1
-    return GDerivs(
-        g1=f - f1 * w,
-        g2=-f - f2 * w,
-        g11=2 * f1 - f11 * w,
-        g12=f2 - f1 - f12 * w,
-        g22=-2 * f2 - f22 * w,
-    )
+    return _g_derivs(eval_f_derivs(speed, r), r.r2 - r.r1)
 
 
 def zero_order_term(speed: SpeedFunction, r: RadiiPoint):
@@ -68,10 +79,9 @@ def zero_order_term(speed: SpeedFunction, r: RadiiPoint):
     rounding only; identities.closed_agreement_suite catches derivative errors.
     """
     _require_ordered(r)
-    f, f1, f2 = eval_f_derivs(speed, r)[:3]
-    w = r.r2 - r.r1
-    g1 = f - f1 * w
-    g2 = -f - f2 * w
+    fd = eval_f_derivs(speed, r)
+    f, f1, f2 = fd[:3]
+    g1, g2 = _gdot(fd, r.r2 - r.r1)
     return (f + f1 * r.r1 + f2 * r.r2) * (g1 + g2) - (f1 + f2) * (g1 * r.r1 + g2 * r.r2)
 
 
@@ -82,13 +92,19 @@ def _gradient_terms_raw(fd, w):
     intervals all work (w must be positive, or an interval within [0, inf)).
     """
     f, f1, f2, f11, f12, f22 = fd
-    g1 = f - f1 * w
-    g2 = -f - f2 * w
+    g1, g2 = _gdot(fd, w)
     fvv = f11 * g2 * g2 - 2 * f12 * g1 * g2 + f22 * g1 * g1
     common = 2 * f * (f1 + f2)
     q1 = f * fvv + common * (f * f / w - 2 * f * f1 - f1 * f2 * w)
     q2 = -f * fvv + common * (f * f / w + 2 * f * f2 - f1 * f2 * w)
     return q1, q2, g1, g2
+
+
+def _normalize(q1, q2, g1, g2, f):
+    """Raw (q1, q2) times nu_i = (-2/f)/gdot_i^2: the closed-form
+    normalization of the module docstring."""
+    nu = -2 / f
+    return q1 * nu / (g1 * g1), q2 * nu / (g2 * g2)
 
 
 def gradient_terms_general(speed: SpeedFunction, r: RadiiPoint):
@@ -100,11 +116,16 @@ def gradient_terms_general(speed: SpeedFunction, r: RadiiPoint):
     _require_ordered(r)
     fd = eval_f_derivs(speed, r)
     q1, q2, g1, g2 = _gradient_terms_raw(fd, r.r2 - r.r1)
-    nu = -2 / fd.f
     if g1 == 0 or g2 == 0:
         # gdot2 can only vanish where the closed-form denominator does
         raise PoleError("normalization pole: gdot vanishes", t=r.r2 / r.r1)
-    return q1 * nu / (g1 * g1), q2 * nu / (g2 * g2)
+    return _normalize(q1, q2, g1, g2, fd.f)
+
+
+def _raw_arrays(speed: SpeedFunction, t):
+    """(Q1, Q2) at r = (1, t) from the raw assembly, for a float array t > 1."""
+    fd = _f_derivs(speed.family, float(speed.alpha), np.ones_like(t), t)
+    return _normalize(*_gradient_terms_raw(fd, t - 1.0), fd[0])
 
 
 def closed_numerator_coeffs(alpha):
@@ -122,37 +143,57 @@ def closed_numerator_coeffs(alpha):
     )
 
 
+def closed_numerators(alpha):
+    """Descending coefficients in t of N1 and of its t^5-reversal N2."""
+    c3, c2, c1, c0 = closed_numerator_coeffs(alpha)
+    return [c3, c2, c1, c0], [c0, c1, c2, c3, Fraction(0), Fraction(0)]
+
+
+def horner(coeffs, x):
+    """Value at x of the polynomial with descending coefficients (at least
+    one); generic in the scalar type."""
+    acc = coeffs[0]
+    for c in coeffs[1:]:
+        acc = acc * x + c
+    return acc
+
+
+def _gauss_closed(a, t, scalar):
+    """(Q1, Q2) of gauss_power at r = (1, t) from the closed rational forms
+    Q_i = 2a N_i(t) / (t^(a/2+2) (t - 1) d_i^2), for any scalar type; `scalar`
+    converts the exact numerator coefficients.  d1 = a (t - 1) + 2 > 0 on
+    t > 1, while d2 vanishes at t = a / (a - 2) when a > 2.
+    """
+    n1, n2 = ([scalar(c) for c in n] for n in closed_numerators(a))
+    d1 = a * t + (2 - a)
+    d2 = a + (2 - a) * t
+    common = 2 * a / (t ** (a / 2 + 2) * (t - 1))
+    return common * horner(n1, t) / (d1 * d1), common * horner(n2, t) / (d2 * d2)
+
+
 def gradient_terms_gauss_closed(r: RadiiPoint, alpha):
     """(Q1, Q2) for gauss_power via the closed rational expressions.
 
     Exact Fractions when r1, r2 are rational and alpha is an even integer
-    (the only case where the (r1 r2)^(alpha/2 + 2) prefactor is rational);
-    floats otherwise.  Raises PoleError where a denominator linear factor
-    vanishes, which can happen only for alpha > 2.
+    (the only case where the t^(alpha/2 + 2) prefactor is rational); floats
+    otherwise.  Evaluated at t = r2/r1 and scaled by r1^-(alpha+2), since Q
+    is homogeneous of that degree.  Raises PoleError where the second
+    denominator factor vanishes, which can happen only for alpha > 2.
     """
     _require_ordered(r)
-    c3, c2, c1, c0 = closed_numerator_coeffs(alpha)
-    exact = _wants_exact(SpeedFunction("gauss_power", alpha), r)
-    if exact:
-        a = Fraction(alpha)
-        r1, r2 = Fraction(r.r1), Fraction(r.r2)
-        pref = (r1 * r2) ** (int(a) // 2 + 2) * (r2 - r1)
+    if _wants_exact(SpeedFunction("gauss_power", alpha), r):
+        a, r1, scalar = Fraction(alpha), Fraction(r.r1), Fraction
+        t = Fraction(r.r2) / r1
     else:
-        a = float(alpha)
-        c3, c2, c1, c0 = (float(c) for c in (c3, c2, c1, c0))
-        r1, r2 = float(r.r1), float(r.r2)
-        pref = (r1 * r2) ** (a / 2 + 2) * (r2 - r1)
-    d1 = a * r2 + (2 - a) * r1
-    d2 = a * r1 + (2 - a) * r2
-    if d1 == 0 or d2 == 0:
-        raise PoleError(
-            "denominator factor vanishes (alpha > 2)",
-            t=r.r2 / r.r1,
-            factor="alpha*r2+(2-alpha)*r1" if d1 == 0 else "alpha*r1+(2-alpha)*r2",
-        )
-    n1 = c3 * r1**2 * r2**3 + c2 * r1**3 * r2**2 + c1 * r1**4 * r2 + c0 * r1**5
-    n2 = c3 * r2**2 * r1**3 + c2 * r2**3 * r1**2 + c1 * r2**4 * r1 + c0 * r2**5
-    return 2 * a * n1 / (pref * d1 * d1), 2 * a * n2 / (pref * d2 * d2)
+        a, r1, scalar = float(alpha), float(r.r1), float
+        t = float(r.r2) / r1
+    try:
+        q1, q2 = _gauss_closed(a, t, scalar)
+    except ZeroDivisionError:
+        msg = "denominator factor vanishes (alpha > 2)"
+        raise PoleError(msg, t=r.r2 / r.r1, factor="alpha*r1+(2-alpha)*r2") from None
+    scale = r1 ** -(a + 2)
+    return q1 * scale, q2 * scale
 
 
 def q_full_reduction_check(speed: SpeedFunction, r: RadiiPoint, T1, T2):
@@ -167,19 +208,11 @@ def q_full_reduction_check(speed: SpeedFunction, r: RadiiPoint, T1, T2):
     algebraically for any of them, so the residual measures rounding only;
     identities.closed_agreement_suite catches derivative errors.
     """
-    q_full, combo = _q_full_and_combo(speed, r, T1, T2)
-    return q_full - combo
-
-
-def _q_full_and_combo(speed, r, T1, T2):
     _require_ordered(r)
-    f, f1, f2, f11, f12, f22 = (float(v) for v in eval_f_derivs(speed, r))
+    fd = tuple(float(v) for v in eval_f_derivs(speed, r))
+    f, f1, f2, f11, f12, f22 = fd
     w = float(r.r2 - r.r1)
-    g1 = f - f1 * w
-    g2 = -f - f2 * w
-    g11 = 2 * f1 - f11 * w
-    g12 = f2 - f1 - f12 * w
-    g22 = -2 * f2 - f22 * w
+    g1, g2, g11, g12, g22 = _g_derivs(fd, w)
     lam1 = sqrt(-2 / f) / abs(g1)
     lam2 = sqrt(-2 / f) / abs(g2)
     d1r11 = lam1 * g2 * T1
@@ -201,7 +234,7 @@ def _q_full_and_combo(speed, r, T1, T2):
     )
     rp = RadiiPoint(float(r.r1), float(r.r2))
     q1, q2 = gradient_terms_general(SpeedFunction(speed.family, float(speed.alpha)), rp)
-    return q_full, q1 * T1 * T1 + q2 * T2 * T2
+    return q_full - (q1 * T1 * T1 + q2 * T2 * T2)
 
 
 def convexity_condition(speed: SpeedFunction, r: RadiiPoint):
@@ -224,37 +257,16 @@ def pinching_quantity(r: RadiiPoint, alpha):
     return (r1 - r2) ** 2 / (r1 * r2) ** float(alpha)
 
 
-def gradient_terms_general_arrays(speed: SpeedFunction, t, method="auto"):
+def gradient_terms_general_arrays(speed: SpeedFunction, t):
     """Vectorized (Q1, Q2) at r = (1, t) for a numpy array t > 1, normalized
     like gradient_terms_general.  Used by the scanners.
 
-    method "auto" sends the gauss family through the closed polynomial form:
-    the raw assembly loses its sign to cancellation at large t when the
-    second normalizing factor degenerates (alpha near 2), while the closed
-    numerators evaluate cleanly.  "raw" forces the general assembly and
-    "closed" the polynomial route (gauss only) — the agreement suite compares
-    the two directly.
+    The gauss family goes through the closed form: the raw assembly loses
+    its sign to cancellation at large t when the second normalizing factor
+    degenerates (alpha near 2), while the closed numerators evaluate
+    cleanly.  The agreement suite compares the two routes directly.
     """
-    import numpy as np
-
     t = np.asarray(t, dtype=float)
-    if method not in ("auto", "raw", "closed"):
-        raise DomainError(f"unknown evaluation method {method!r}")
-    use_closed = (
-        speed.family == "gauss_power" if method == "auto" else method == "closed"
-    )
-    if use_closed:
-        if speed.family != "gauss_power":
-            raise DomainError("closed evaluation exists only for gauss_power")
-        a = float(speed.alpha)
-        c3, c2, c1, c0 = (float(c) for c in closed_numerator_coeffs(a))
-        n1 = ((c3 * t + c2) * t + c1) * t + c0
-        n2 = ((((c0 * t + c1) * t + c2) * t + c3) * t) * t
-        d1 = a * t + (2.0 - a)
-        d2 = a + (2.0 - a) * t
-        common = 2.0 * a / (t ** (a / 2.0 + 2.0) * (t - 1.0))
-        return common * n1 / (d1 * d1), common * n2 / (d2 * d2)
-    fd = _f_derivs(speed.family, float(speed.alpha), np.ones_like(t), t)
-    q1, q2, g1, g2 = _gradient_terms_raw(fd, t - 1.0)
-    nu = -2.0 / fd[0]
-    return q1 * nu / (g1 * g1), q2 * nu / (g2 * g2)
+    if speed.family == "gauss_power":
+        return _gauss_closed(float(speed.alpha), t, float)
+    return _raw_arrays(speed, t)

@@ -11,6 +11,8 @@ import math
 from datetime import datetime, timezone
 from fractions import Fraction
 
+import numpy as np
+
 
 def _fraction_str(x: Fraction):
     """Finite decimal expansion when the denominator is 2^a 5^b, else p/q."""
@@ -45,19 +47,14 @@ def _float_str(x: float):
 
 def canonical_json(obj) -> str:
     """Serialize to a canonical JSON string (no trailing newline)."""
-    try:
-        import numpy as np
-
-        if isinstance(obj, np.ndarray):
-            obj = obj.tolist()
-        elif isinstance(obj, np.floating):
-            obj = float(obj)
-        elif isinstance(obj, np.integer):
-            obj = int(obj)
-        elif isinstance(obj, np.bool_):
-            obj = bool(obj)
-    except ImportError:  # pragma: no cover
-        pass
+    if isinstance(obj, np.ndarray):
+        obj = obj.tolist()
+    elif isinstance(obj, np.floating):
+        obj = float(obj)
+    elif isinstance(obj, np.integer):
+        obj = int(obj)
+    elif isinstance(obj, np.bool_):
+        obj = bool(obj)
     if obj is None:
         return "null"
     if isinstance(obj, bool):

@@ -13,6 +13,7 @@ from pinchflow import (
     certify_nonpositive,
     closed_numerator_coeffs,
     find_threshold,
+    gradient_terms_gauss_closed,
     gradient_terms_general,
     log_ratio_grid,
     sign_scan,
@@ -67,10 +68,14 @@ def test_certify_gauss_leading_coefficients():
 
 
 def test_certify_gauss_violations_with_witness():
-    for alpha in (0.4, 2.1):
+    for alpha in (0.4, 2.1, 3.0):
         rep = certify_nonpositive("gauss_power", alpha=alpha)
         assert rep.verdict == "violated", alpha
         assert rep.witness_t is not None and rep.witness_q > 0
+        # the reported value is the failing Q_i at the witness (150-bit
+        # evaluation there; float evaluation here)
+        q1, q2 = gradient_terms_gauss_closed(RadiiPoint(1.0, rep.witness_t), alpha)
+        assert max(q1, q2) == pytest.approx(rep.witness_q, rel=1e-9), alpha
         # confirm the witness against high-precision closed evaluation
         c3, c2, c1, c0 = (float(c) for c in closed_numerator_coeffs(alpha))
         with mpmath.workprec(120):

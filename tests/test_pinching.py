@@ -129,6 +129,24 @@ def test_closed_pole_error():
         gradient_terms_gauss_closed(RadiiPoint(1, 3), 3.0)
 
 
+@pytest.mark.parametrize("alpha", [0.5, 1.0, 1.5, 2.1])
+def test_closed_scalar_matches_arrays(alpha):
+    # both routes run the one closed form in t; the scalar route at
+    # r = (r1, r1 t) scales by homogeneity of degree -(alpha + 2)
+    import numpy as np
+
+    from pinchflow.pinching import gradient_terms_general_arrays
+
+    t = np.geomspace(1.001, 1e4, 301)
+    q1a, q2a = gradient_terms_general_arrays(SpeedFunction("gauss_power", alpha), t)
+    for r1 in (1.0, 0.5, 3.0):
+        for ti, want1, want2 in zip(t, q1a, q2a):
+            q1, q2 = gradient_terms_gauss_closed(RadiiPoint(r1, r1 * float(ti)), alpha)
+            scale = r1 ** (alpha + 2)
+            assert q1 * scale == pytest.approx(want1, rel=1e-13), (r1, ti)
+            assert q2 * scale == pytest.approx(want2, rel=1e-13), (r1, ti)
+
+
 def test_numerator_coeffs_against_oracle():
     for alpha in (Fraction(1, 2), Fraction(1), Fraction(3, 2), Fraction(2), Fraction(7, 3)):
         assert closed_numerator_coeffs(alpha) == oracles.numerator_coeffs_oracle(alpha)
