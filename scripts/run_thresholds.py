@@ -21,8 +21,8 @@ PLAN = {
     "gauss_power": ([0.4, 0.5, 1.0, 1.5, 2.0, 2.1], (1.5, 3.0), 0.01),
     "mean_power": ([1.0, 2.0, 4.0, 5.0, 5.5, 6.0], (4.0, 6.0), 0.05),
     "norm_power": ([1.0, 4.0, 8.0, 8.5, 9.0], (7.0, 9.0), 0.05),
-    # sum_power stays nonpositive for every exponent > 1 we can probe;
-    # the bracket below brackets the *lower* end of the admissible range
+    # sum_power is certified at every probed exponent up to the cap, so there
+    # is no upper threshold to bisect for
     "sum_power": ([1.5, 3.0, 10.0, 50.0, 100.0], None, None),
 }
 

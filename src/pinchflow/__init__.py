@@ -11,7 +11,6 @@ from .errors import (
     ResolutionError,
     StepRejectedError,
     UmbilicError,
-    VerdictConflictError,
 )
 from .speeds import (
     FAMILIES,

@@ -1,24 +1,22 @@
 """Sign certification of the gradient terms over the radii cone, and
 threshold search in the homogeneity exponent.
 
-Two certification engines:
-
-* gauss_power: exact.  The closed-form denominators are positive on t > 1
-  (for alpha <= 2 everywhere; isolated poles otherwise), so the sign is the
-  sign of the polynomial numerators.  Any float alpha is a dyadic rational,
-  hence the numerator coefficients are exact Fractions; Sturm root counting
-  plus a leading-coefficient test beyond the Cauchy bound certifies the whole
-  ray t > 1.
-
-* other families: adaptive interval-arithmetic subdivision (mpmath.iv) of the
-  raw gradient-term expressions on (1, t_max], which are pole-free there and
-  sign-equivalent to the normalized values.  The tail t > t_max is sampled
-  only, and the overall verdict is downgraded to nonpositive_sampled.
+One exact route for every family: Q1 and Q2 at r = (1, t) are positive
+multiples of polynomial numerators with rational coefficients (any float
+alpha is a dyadic rational), the closed gauss_power numerators or those of
+the power-sum table run over `_Laurent` (`_power_sum_terms`).  A numerator
+in x alone goes to `_certify_numerator`: no positive coefficient after the
+shift x = 1 + u certifies the whole ray at once, else Sturm root counting
+and the leading coefficient beyond the Cauchy bound give the certificate or
+a rational witness.  A sandwich numerator in (x, v) is certified by the
+shift test alone, doubling q up to SANDWICH_Q_MAX; after that a sign scan
+finds a float witness or the verdict is inconclusive.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import partial
+from math import floor, lcm
 from typing import Optional
 
 import numpy as np
@@ -27,13 +25,17 @@ from .errors import BracketError, DomainError
 from .pinching import (
     _gauss_closed,
     _gradient_terms_raw,
+    _power_sum_p,
+    _power_sum_q,
+    _power_sum_table,
     closed_numerators,
     gradient_terms_general_arrays,
     horner,
 )
-from .speeds import SpeedFunction, _f_derivs, interval_ops
+from .speeds import SpeedFunction
 
 SUM_POWER_ALPHA_CAP = 100  # unbounded-alpha claims are verified up to here
+SANDWICH_Q_MAX = 64  # largest substitution t = x^q tried for the sandwich
 
 
 @dataclass(frozen=True)
@@ -48,7 +50,7 @@ class QReport:
     witness_t: Optional[float] = None
     witness_q: Optional[float] = None
     method: str = ""
-    tail: str = "none"  # certified | sampled | none
+    tail: str = "none"  # certified | none
 
     def __post_init__(self):
         if self.verdict == "violated" and (self.witness_t is None or not self.witness_q > 0):
@@ -226,6 +228,17 @@ def _cauchy_bound(p):
     return 1 + max(abs(c / lead) for c in p)
 
 
+def _shift_nonpositive(p):
+    """True when p(1 + u), p given by descending coefficients, has no positive
+    coefficient: then p <= 0 on the whole ray x > 1."""
+    a = list(p)
+    n = len(a) - 1
+    for i in range(n):
+        for j in range(1, n + 1 - i):
+            a[j] += a[j - 1]
+    return all(c <= 0 for c in a)
+
+
 def _certify_numerator(coeffs, t_hi):
     """Exact verdict for 'polynomial <= 0 on (1, t_hi] and on the tail'.
 
@@ -237,13 +250,10 @@ def _certify_numerator(coeffs, t_hi):
     distinct root, so values <= 0 at both of its endpoints force values <= 0
     throughout (a positive excursion would need two crossings).
     """
-    p = _trim(list(coeffs))
+    p = _trim([Fraction(c) for c in coeffs])
     one = Fraction(1)
-    if not p:
+    if _shift_nonpositive(p):  # what the Sturm count below concludes, sooner
         return True, True, None
-    if len(p) == 1:
-        ok = p[0] <= 0
-        return ok, ok, (None if ok else 2 * t_hi)
     tail_ok = p[0] < 0
     chain = _sturm_chain(p)
     bound = _cauchy_bound(p)
@@ -287,112 +297,110 @@ def _certify_numerator(coeffs, t_hi):
     return True, tail_ok, witness
 
 
-def _certify_gauss(speed, t_max):
-    alpha = float(speed.alpha)
-    n1, n2 = closed_numerators(alpha)
-    t_hi = Fraction(t_max)
-    found = []  # (witness_t, index of the failing Q_i)
-    for which, coeffs in enumerate((n1, n2)):
-        region_ok, tail_ok, witness = _certify_numerator(coeffs, t_hi)
-        if not (region_ok and tail_ok):
-            found.append((witness, which))
-    lead_note = f"leading coeffs: q1 {float(n1[0]):.6g}, q2 {float(n2[0]):.6g}"
-    report = partial(
-        QReport, family=speed.family, alpha=alpha, t_lo=1.0, t_hi=float(t_max)
-    )
-    if not found:
-        return report(
-            q1_max=Fraction(0),
-            q2_max=Fraction(0),
-            verdict="nonpositive_certified",
-            method=f"sturm_exact(numerators, cauchy tail); {lead_note}",
-            tail="certified",
-        )
-    witness_t, which = min(found, key=lambda x: x[0])
-    # the sign is exact (positive numerator over positive denominator), and
-    # 150-bit evaluation keeps the float conversion from rounding it to 0
+# ---------------------------------------------------------------------------
+# exact numerators of the power-sum families
+
+class _Laurent:
+    """A Laurent polynomial in (x, v, w) with Fraction coefficients: + - * and
+    division by a monomial, all `_power_sum_table` and `_gradient_terms_raw` use."""
+
+    def __init__(self, terms):
+        self.terms = {e: c for e, c in terms.items() if c}  # exponents -> c
+
+    def __add__(self, other):
+        out = dict(self.terms)
+        for e, c in other.terms.items():
+            out[e] = out.get(e, 0) + c
+        return _Laurent(out)
+
+    def __neg__(self):
+        return _Laurent({e: -c for e, c in self.terms.items()})
+
+    def __sub__(self, other):
+        return self + -other
+
+    def __mul__(self, other):
+        if not isinstance(other, _Laurent):
+            return _Laurent({e: c * other for e, c in self.terms.items()})
+        out = {}
+        for (x, v, w), c in self.terms.items():
+            for (y, u, z), d in other.terms.items():
+                e = (x + y, v + u, w + z)
+                out[e] = out.get(e, 0) + c * d
+        return _Laurent(out)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, monomial):
+        ((y, u, z), d), = monomial.terms.items()
+        return _Laurent({(x - y, v - u, w - z): c / d for (x, v, w), c in self.terms.items()})
+
+    def numerator(self, q):
+        """Integer coefficient lists, descending in x, one per power of v, of a
+        positive multiple of this element at w = x^q - 1 > 0, x > 1, v >= 0."""
+        powers = sorted({w for _, _, w in self.terms}, reverse=True)
+        total = _Laurent({})
+        for j in range(powers[0], powers[-1] - 1, -1):  # Horner in w, times w^-k
+            total = total * _Laurent({(q, 0, 0): 1, (0, 0, 0): -1}) + _Laurent(
+                {(x, v, 0): c for (x, v, w), c in self.terms.items() if w == j}
+            )
+        xs = [x for x, _, _ in total.terms]
+        lo, deg = min(xs), max(xs) - min(xs)
+        scale = lcm(*(c.denominator for c in total.terms.values()))
+        polys = [[0] * (deg + 1) for _ in range(1 + max(v for _, v, _ in total.terms))]
+        for (x, v, _), c in total.terms.items():
+            polys[v][deg - (x - lo)] = int(c * scale)
+        return polys
+
+
+def _power_sum_terms(speed, q):
+    """(Q1, Q2) at r = (1, t), t = x^q, of a power-sum family as `_Laurent`
+    elements, from the power-sum table, and whether they are exact.
+
+    y = t^-p is x^-pq when pq is an integer (always for mean and norm).  Else
+    y is replaced by the sandwich x^-m (1 + v/x) / (1 + v), m = floor(pq),
+    times 1 + v: as v runs over [0, inf) it takes every value between
+    x^-(m+1) and x^-m, so a numerator <= 0 for all x > 1, v >= 0 covers y.
+    """
+    alpha = Fraction(float(speed.alpha))
+    p = Fraction(_power_sum_p(speed.family, float(speed.alpha)))
+    n = p * q
+
+    def poly(*exponents):
+        return _Laurent(dict.fromkeys(exponents, Fraction(1)))
+
+    if n.denominator == 1:
+        a1, a2 = poly((0, 0, 0)), poly((-n.numerator, 0, 0))
+    else:
+        m = floor(n)
+        a1, a2 = poly((0, 0, 0), (0, 1, 0)), poly((-m, 0, 0), (-m - 1, 1, 0))
+    fd = _power_sum_table(alpha, p, a1, a2, poly((0, 0, 0)), poly((-q, 0, 0)))
+    q1, q2, _, _ = _gradient_terms_raw(fd, poly((0, 0, 1)))
+    return (q1, q2), n.denominator == 1
+
+
+# ---------------------------------------------------------------------------
+# the verdict
+
+def _q_at(speed, t):
+    """(Q1, Q2) at the rational ratio t at 150 bits: the sign is exact, and
+    the precision keeps the float conversion from rounding the value to 0."""
     import mpmath
 
     def mpf(c):
         return mpmath.mpf(c.numerator) / c.denominator
 
     with mpmath.workprec(150):
-        witness_q = float(_gauss_closed(alpha, mpf(witness_t), mpf)[which])
-    scan = sign_scan(speed, ratio_grid=log_ratio_grid(max(t_max, float(witness_t) * 2)))
-    return report(
-        q1_max=scan.q1_max,
-        q2_max=scan.q2_max,
-        verdict="violated",
-        witness_t=float(witness_t),
-        witness_q=witness_q,
-        method=f"sturm_exact(numerators, cauchy tail); maxima sampled; {lead_note}",
-        tail="certified",
-    )
+        if speed.family == "gauss_power":
+            return [float(q) for q in _gauss_closed(float(speed.alpha), mpf(t), mpf)]
+        return [float(q) for q in _power_sum_q(speed, mpf(t))]
 
 
-# ---------------------------------------------------------------------------
-# interval certification for the non-gauss families
-
-def _iv_q_upper(speed, w_lo, w_hi, iv):
-    """Interval upper bounds of the raw (Q1, Q2) on t in [1 + w_lo, 1 + w_hi].
-
-    Division by w at the left edge produces directed enclosures with an
-    infinite lower end; the upper bounds stay finite, which is all the
-    certificate needs.
-    """
-    ops = interval_ops(iv)
-    one = iv.mpf(1)
-    t = one + iv.mpf([w_lo, w_hi])
-    fd = _f_derivs(speed.family, float(speed.alpha), one, t, ops)
-    q1, q2, _, _ = _gradient_terms_raw(fd, t - one)
-    return float(q1.b), float(q2.b)
-
-
-def _interval_certify(speed, t_max, depth_limit):
-    import mpmath
-
-    iv = mpmath.iv
-    old_prec = iv.prec
-    iv.prec = 80
-    try:
-        w_top = t_max - 1.0
-        pieces = [(0.0, 1e-6, 0)]
-        w = 1e-6
-        while w < w_top:
-            nxt = min(w * 4, w_top)
-            pieces.append((w, nxt, 0))
-            w = nxt
-        stack = list(reversed(pieces))
-        processed = 0
-        while stack:
-            lo, hi, depth = stack.pop()
-            processed += 1
-            if processed > 200000:
-                return False, "piece budget exceeded"
-            ub1, ub2 = _iv_q_upper(speed, lo, hi, iv)
-            if ub1 <= 0 and ub2 <= 0:
-                continue
-            if depth >= depth_limit:
-                return False, f"depth limit {depth_limit} at w in [{lo:.3e}, {hi:.3e}]"
-            if lo == 0.0:
-                mid = hi / 8
-            else:
-                mid = (lo * hi) ** 0.5
-            stack.append((mid, hi, depth + 1))
-            stack.append((lo, mid, depth + 1))
-        return True, f"{processed} pieces"
-    finally:
-        iv.prec = old_prec
-
-
-def certify_nonpositive(speed, alpha=None, t_max=1e6, depth_limit=60) -> QReport:
-    """Rigorous-where-cheap sign verdict for (Q1, Q2) on the ray t > 1.
-
-    gauss_power gets an exact certificate with certified tail; other families
-    get an interval certificate on (1, t_max] with a sampled tail (verdict
-    nonpositive_sampled).  Depth/budget exhaustion yields 'inconclusive',
-    which is distinct from 'violated'.
-    """
+def certify_nonpositive(speed, alpha=None, t_max=1e6) -> QReport:
+    """Exact sign verdict for (Q1, Q2) on the whole ray t > 1, tail included;
+    a sum_power exponent whose sandwich numerators keep a positive
+    coefficient up to q = SANDWICH_Q_MAX gets a sign scan on (1, t_max]
+    instead: violated with a float witness, or inconclusive."""
     speed = _as_speed(speed, alpha)
     if not t_max >= 2:
         raise DomainError(f"t_max must be >= 2, got {t_max}")
@@ -400,69 +408,65 @@ def certify_nonpositive(speed, alpha=None, t_max=1e6, depth_limit=60) -> QReport
         raise DomainError(
             f"sum_power certification is capped at alpha <= {SUM_POWER_ALPHA_CAP}"
         )
-    if speed.family == "gauss_power":
-        return _certify_gauss(speed, t_max)
-
-    # cheap violation pre-pass; a float witness already settles the verdict
-    scan = sign_scan(speed, ratio_grid=log_ratio_grid(t_max, 8192))
-    cap_note = (
-        f" (alpha cap {SUM_POWER_ALPHA_CAP})" if speed.family == "sum_power" else ""
-    )
     report = partial(
-        QReport,
-        family=speed.family,
-        alpha=float(speed.alpha),
-        t_lo=1.0,
-        t_hi=float(t_max),
+        QReport, family=speed.family, alpha=float(speed.alpha), t_lo=1.0, t_hi=float(t_max)
     )
-    if scan.verdict == "violated":
+    step, q = "sturm_exact(numerators, cauchy tail)", 1
+    if speed.family == "gauss_power":
+        n1, n2 = closed_numerators(float(speed.alpha))
+        numerators = [[n1], [n2]]
+        note = f"leading coeffs: q1 {float(n1[0]):.6g}, q2 {float(n2[0]):.6g}"
+    else:
+        while True:
+            terms, exact = _power_sum_terms(speed, q)
+            numerators = [term.numerator(q) for term in terms]
+            if exact:
+                break
+            if all(_shift_nonpositive(p) for n in numerators for p in n):
+                step = "shift_exact(sandwich numerators in x, v)"
+                break
+            if q == SANDWICH_Q_MAX:
+                scan = sign_scan(speed, ratio_grid=log_ratio_grid(t_max, 8192))
+                verdict = "violated" if scan.verdict == "violated" else "inconclusive"
+                method = f"{scan.method}; sandwich uncertified up to q={q}"
+                region = dict(t_lo=1.0, t_hi=float(t_max))
+                return replace(scan, verdict=verdict, method=method, **region)
+            q *= 2
+        note = f"q={q}, degree {max(len(n[0]) for n in numerators) - 1}"
+    found = []  # (witness x, index of the failing Q_i), x = t^(1/q)
+    for which, polys in enumerate(numerators):
+        if len(polys) == 1:  # in x alone; sandwich numerators passed above
+            region_ok, tail_ok, witness = _certify_numerator(polys[0], Fraction(t_max))
+            if not (region_ok and tail_ok):
+                found.append((witness, which))
+    if not found:
         return report(
-            q1_max=scan.q1_max,
-            q2_max=scan.q2_max,
-            verdict="violated",
-            witness_t=scan.witness_t,
-            witness_q=scan.witness_q,
-            method=f"scan pre-pass{cap_note}",
-            tail="none",
+            q1_max=Fraction(0),
+            q2_max=Fraction(0),
+            verdict="nonpositive_certified",
+            method=f"{step}; {note}",
+            tail="certified",
         )
-    ok, note = _interval_certify(speed, t_max, depth_limit)
-    tail_grid = np.geomspace(t_max, 100 * t_max, 256)[1:]
-    tail_scan = sign_scan(speed, ratio_grid=tail_grid)
-    if ok and tail_scan.verdict == "violated":
-        return report(
-            q1_max=max(scan.q1_max, tail_scan.q1_max),
-            q2_max=max(scan.q2_max, tail_scan.q2_max),
-            verdict="violated",
-            witness_t=tail_scan.witness_t,
-            witness_q=tail_scan.witness_q,
-            method=f"interval(raw) on region, violation in sampled tail{cap_note}",
-            tail="sampled",
-        )
-    if ok:
-        return report(
-            q1_max=scan.q1_max,
-            q2_max=scan.q2_max,
-            verdict="nonpositive_sampled",
-            method=f"interval(raw) certificate on (1, t_max], {note}; "
-            f"maxima sampled (normalized); tail sampled{cap_note}",
-            tail="sampled",
-        )
+    witness_x, which = min(found, key=lambda f: f[0])
+    witness_t = witness_x**q
+    scan = sign_scan(speed, ratio_grid=log_ratio_grid(max(t_max, float(witness_t) * 2)))
     return report(
         q1_max=scan.q1_max,
         q2_max=scan.q2_max,
-        verdict="inconclusive",
-        method=f"interval(raw) gave up: {note}{cap_note}",
-        tail="none",
+        verdict="violated",
+        witness_t=float(witness_t),
+        witness_q=_q_at(speed, witness_t)[which],
+        method=f"{step}; maxima sampled; {note}",
+        tail="certified",
     )
 
 
 def find_threshold(family, alpha_range, tol, t_max=1e6) -> ThresholdResult:
     """Bisection in alpha for the largest certifiable exponent.
 
-    A probe 'passes' when certify_nonpositive returns a nonpositive verdict
-    and 'fails' on violation; inconclusive certificates fall back to a dense
-    sign scan (recorded in the probe history).  The range must bracket:
-    passing at the low end, failing at the high end.
+    A probe 'passes' when certify_nonpositive returns a nonpositive verdict;
+    a violated or inconclusive probe does not pass.  The range must bracket:
+    passing at the low end, not passing at the high end.
     """
     lo, hi = float(alpha_range[0]), float(alpha_range[1])
     if not (0 < lo < hi):
@@ -473,15 +477,7 @@ def find_threshold(family, alpha_range, tol, t_max=1e6) -> ThresholdResult:
 
     def decide(a):
         rep = certify_nonpositive(family, a, t_max=t_max)
-        method = rep.method
-        if rep.verdict == "inconclusive":
-            dense = np.union1d(
-                log_ratio_grid(t_max, 1 << 17),
-                1.0 + np.geomspace(1e-6, t_max - 1.0, 1 << 15),
-            )
-            rep = sign_scan(SpeedFunction(family, a), ratio_grid=dense)
-            method += " + scan fallback"
-        probes.append((a, rep.verdict, method))
+        probes.append((a, rep.verdict, rep.method))
         return rep.passed()
 
     lo_pass = decide(lo)

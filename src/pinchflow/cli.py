@@ -37,7 +37,7 @@ MONOTONE_TOL = 1e-3
 # config-file keys and the coercion all come from these tables; defaults and
 # range checks belong to the library functions the commands call.
 _IDENTITY_FIELDS = {"draws": int, "seed": int}
-_QSIGN_FIELDS = {"family": str, "alpha": float, "t_max": float, "depth_limit": int}
+_QSIGN_FIELDS = {"family": str, "alpha": float, "t_max": float}
 _THRESHOLD_FIELDS = {
     "family": str,
     "alpha_lo": float,

@@ -46,13 +46,5 @@ class BracketError(ValueError):
         self.hi_verdict = hi_verdict
 
 
-class VerdictConflictError(RuntimeError):
-    """Certification verdicts contradict monotonicity in alpha."""
-
-    def __init__(self, message, verdicts=()):
-        super().__init__(message)
-        self.verdicts = tuple(verdicts)
-
-
 class ConfigError(ValueError):
     """Invalid run configuration; reported with field names, no output written."""

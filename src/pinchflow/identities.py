@@ -1,27 +1,25 @@
 """Randomized and grid-based identity suites.
 
 These back both the CLI `verify-identities` command and the acceptance
-tests: the zero-order cancellation, the agreement of the two independent
-gradient-term routes for the gauss family, and the reduction of the full
+tests: the zero-order cancellation, the agreement of two independent
+gradient-term routes for every family, and the reduction of the full
 quadratic form to the (Q1, Q2) combination.
 
 What each suite can catch: Z and the reduction are algebraic identities in
 the derivative values (Z expands to 0 for any f, f1, f2), so they measure
 floating-point rounding only; a wrong derivative passes them.
-`closed_agreement` compares two independent routes, the raw assembly from
-the chain-rule derivatives and the closed gauss polynomial, so it is the
-suite that catches derivative errors, on the gauss_power family only.  A
-wrong k-derivative for mean_power, norm_power or sum_power passes all three
-suites; the tests' derivative oracles (exact sympy and finite differences in
-tests/test_speeds.py) are what catch those.
+`closed_agreement` compares the raw assembly from the chain-rule
+derivatives of k against a route that does not use k: the closed gauss
+polynomial, or the power-sum table of the other three families.  It is the
+suite that catches derivative errors.
 """
 
 import numpy as np
 
 from .pinching import (
-    _gauss_closed,
     _raw_arrays,
     gradient_terms_general,
+    gradient_terms_general_arrays,
     q_full_reduction_check,
     zero_order_term,
 )
@@ -72,20 +70,22 @@ def z_residual_suite(draws=10000, seed=0):
 
 
 def closed_agreement_suite(n_t=64, n_alpha=64):
-    """Raw-assembly vs closed-polynomial (Q1, Q2) for gauss_power on a
-    (t, alpha) grid, t in (1, 1e3], alpha in [0.5, 2]."""
+    """Raw-assembly vs closed-route (gradient_terms_general_arrays) (Q1, Q2)
+    for every family on a (t, alpha) grid, t in (1, 1e3], alpha in [0.5, 2]."""
     t = np.geomspace(1e3 ** (1.0 / n_t), 1e3, n_t)
     worst = 0.0
     worst_case = None
-    for alpha in np.linspace(0.5, 2.0, n_alpha):
-        q1r, q2r = _raw_arrays(SpeedFunction("gauss_power", float(alpha)), t)
-        q1c, q2c = _gauss_closed(float(alpha), t, float)
-        for raw, closed, tag in ((q1r, q1c, "q1"), (q2r, q2c, "q2")):
-            rel = np.abs(raw - closed) / np.abs(closed)
-            i = int(np.argmax(rel))
-            if rel[i] > worst:
-                worst = float(rel[i])
-                worst_case = {"alpha": float(alpha), "t": float(t[i]), "side": tag}
+    for family in FAMILIES:
+        for alpha in np.linspace(0.5, 2.0, n_alpha):
+            speed = SpeedFunction(family, float(alpha))
+            q1r, q2r = _raw_arrays(speed, t)
+            q1c, q2c = gradient_terms_general_arrays(speed, t)
+            for raw, closed, tag in ((q1r, q1c, "q1"), (q2r, q2c, "q2")):
+                rel = np.abs(raw - closed) / np.abs(closed)
+                i = int(np.argmax(rel))
+                if rel[i] > worst:
+                    worst = float(rel[i])
+                    worst_case = dict(family=family, alpha=float(alpha), t=float(t[i]), side=tag)
     return {
         "suite": "closed_agreement",
         "grid": [n_t, n_alpha],

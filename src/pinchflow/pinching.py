@@ -6,11 +6,13 @@ in general and gauss closed form, the full-Q reduction self check, and the
 alpha^3-convexity margin.
 
 Each formula is written once, over + - * / so that Fractions, floats, numpy
-arrays and mpmath numbers (intervals included) run the same code: `_gdot`
-and `_g_derivs` (G's derivatives), `_gradient_terms_raw` with `_normalize`
-(the raw Q1/Q2 assembly, any family), and `_gauss_closed` (the gauss_power
-closed form in t = r2/r1, numerators by `horner`, the evaluator the Sturm
-certificates use on the same coefficient lists).
+arrays, mpmath numbers and the exact ring of the certificates run the same
+code: `_gdot` and `_g_derivs` (G's derivatives), `_gradient_terms_raw` with
+`_normalize` (the raw Q1/Q2 assembly, any family), `_gauss_closed` (the
+gauss_power closed form in t = r2/r1, numerators by `horner`, the evaluator
+the Sturm certificates use on the same coefficient lists) and
+`_power_sum_table` (mean, norm and sum power derivatives straight from f,
+not through k: the agreement suite's second route, and the certificates').
 
 Normalization convention: the coefficients of T1^2 and T2^2 in the gradient
 reduction are only determined up to positive point-dependent factors (the
@@ -88,8 +90,8 @@ def zero_order_term(speed: SpeedFunction, r: RadiiPoint):
 def _gradient_terms_raw(fd, w):
     """Raw T1^2/T2^2 coefficients after the fddot cancellations.
 
-    Generic in the scalar type: floats, numpy arrays, Fractions and mpmath
-    intervals all work (w must be positive, or an interval within [0, inf)).
+    Generic in the scalar type: floats, numpy arrays, Fractions, mpmath
+    numbers and the certificates' exact ring all work (w must be positive).
     """
     f, f1, f2, f11, f12, f22 = fd
     g1, g2 = _gdot(fd, w)
@@ -126,6 +128,38 @@ def _raw_arrays(speed: SpeedFunction, t):
     """(Q1, Q2) at r = (1, t) from the raw assembly, for a float array t > 1."""
     fd = _f_derivs(speed.family, float(speed.alpha), np.ones_like(t), t)
     return _normalize(*_gradient_terms_raw(fd, t - 1.0), fd[0])
+
+
+def _power_sum_p(family, alpha):
+    return {"mean_power": 1, "norm_power": 2, "sum_power": alpha}[family]
+
+
+def _power_sum_table(alpha, p, a1, a2, c1, c2):
+    """(f, fdot, fddot) of f = -S^(alpha/p), S = a1 + a2, a_i = k_i^p, c_i = k_i,
+    times the scale S^(2 - alpha/p) > 0 (S^(1 - alpha/p) = 1 when alpha = p):
+    with u_i = a_i c_i and v_i = u_i c_i, f -> -S^2, f_i -> alpha u_i S and
+    f_ij -> -alpha (alpha - p) u_i u_j - delta_ij alpha (p + 1) v_i S.  The raw
+    Q has degree 4 in (f, fdot, fddot), so the scale keeps its sign."""
+    s = a1 + a2
+    m = 1 if alpha == p else s
+    u1, u2 = a1 * c1, a2 * c2
+    cross, diag = alpha * (alpha - p), alpha * (p + 1) * m
+    f11 = -cross * u1 * u1 - diag * u1 * c1
+    f22 = -cross * u2 * u2 - diag * u2 * c2
+    return -s * m, alpha * u1 * m, alpha * u2 * m, f11, -cross * u1 * u2, f22
+
+
+def _power_sum_q(speed: SpeedFunction, t):
+    """(Q1, Q2) at r = (1, t) from the power-sum table, its scale divided out,
+    normalized like gradient_terms_general; t a float array or mpmath number."""
+    alpha = float(speed.alpha)
+    p = _power_sum_p(speed.family, alpha)
+    c2 = 1 / t
+    a2 = c2**p
+    fd = _power_sum_table(alpha, p, 1, a2, 1, c2)
+    q1, q2 = _normalize(*_gradient_terms_raw(fd, t - 1), fd[0])
+    scale = 1 if alpha == p else (1 + a2) ** (2 - alpha / p)
+    return q1 / scale, q2 / scale
 
 
 def closed_numerator_coeffs(alpha):
@@ -261,12 +295,12 @@ def gradient_terms_general_arrays(speed: SpeedFunction, t):
     """Vectorized (Q1, Q2) at r = (1, t) for a numpy array t > 1, normalized
     like gradient_terms_general.  Used by the scanners.
 
-    The gauss family goes through the closed form: the raw assembly loses
-    its sign to cancellation at large t when the second normalizing factor
-    degenerates (alpha near 2), while the closed numerators evaluate
-    cleanly.  The agreement suite compares the two routes directly.
+    Every family goes through a route that does not use k: the closed gauss
+    polynomial (the raw assembly loses its sign to cancellation at large t
+    when the second normalizing factor degenerates, alpha near 2) or the
+    power-sum table.  The agreement suite compares them with `_raw_arrays`.
     """
     t = np.asarray(t, dtype=float)
     if speed.family == "gauss_power":
         return _gauss_closed(float(speed.alpha), t, float)
-    return _raw_arrays(speed, t)
+    return _power_sum_q(speed, t)

@@ -11,7 +11,6 @@ computations happen in radii.
 from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Real
-from types import SimpleNamespace
 from typing import NamedTuple
 
 import numpy as np
@@ -68,31 +67,10 @@ class FDerivs(NamedTuple):
     f22: float
 
 
-# Arithmetic backends.  Kernels are written against +,-,*,/ plus this small
-# dispatch table so the same formulas run on floats, numpy arrays and mpmath
-# intervals.  IV_OPS assumes the ordered cone r2 >= r1 (the only place the
-# certifier evaluates), which lets min/max avoid interval comparisons.
-NUMPY_OPS = SimpleNamespace(
-    sqrt=np.sqrt,
-    pow=lambda x, e: x**e,
-    maximum=np.maximum,
-    minimum=np.minimum,
-)
-
-
-def interval_ops(iv):
-    return SimpleNamespace(
-        sqrt=iv.sqrt,
-        pow=lambda x, e: x ** iv.mpf(e),
-        maximum=lambda a, b: b,  # ordered-cone assumption
-        minimum=lambda a, b: a,
-    )
-
-
-def _k_derivs(family, alpha, r1, r2, ops=NUMPY_OPS):
+def _k_derivs(family, alpha, r1, r2):
     """k and its first/second radii-derivatives, closed form per family."""
     if family == "gauss_power":
-        k = ops.sqrt(r1 * r2)
+        k = np.sqrt(r1 * r2)
         return k, k / (2 * r1), k / (2 * r2), -k / (4 * r1 * r1), 1 / (4 * k), -k / (4 * r2 * r2)
     if family == "mean_power":
         s = r1 + r2
@@ -108,7 +86,7 @@ def _k_derivs(family, alpha, r1, r2, ops=NUMPY_OPS):
         )
     if family == "norm_power":
         q2 = r1 * r1 + r2 * r2
-        q = ops.sqrt(q2)
+        q = np.sqrt(q2)
         q3 = q * q2
         q5 = q3 * q2
         k = r1 * r2 / q
@@ -122,12 +100,12 @@ def _k_derivs(family, alpha, r1, r2, ops=NUMPY_OPS):
         )
     if family == "sum_power":
         # factor out the larger radius so (min/max)^alpha never overflows
-        m = ops.maximum(r1, r2)
-        v = ops.pow(ops.minimum(r1, r2) / m, alpha)
-        A = ops.pow(1 + v, -1.0 / alpha)
+        m = np.maximum(r1, r2)
+        v = (np.minimum(r1, r2) / m) ** alpha
+        A = (1 + v) ** (-1.0 / alpha)
         k = r1 * r2 * A / m
-        k1 = ops.pow(r2 * A / m, 1 + alpha)
-        k2 = ops.pow(r1 * A / m, 1 + alpha)
+        k1 = (r2 * A / m) ** (1 + alpha)
+        k2 = (r1 * A / m) ** (1 + alpha)
         c = (1 + alpha) / k
         k11 = c * k1 * (k1 - k / r1)
         k22 = c * k2 * (k2 - k / r2)
@@ -136,14 +114,14 @@ def _k_derivs(family, alpha, r1, r2, ops=NUMPY_OPS):
     raise DomainError(f"unknown family {family!r}")
 
 
-def _f_derivs(family, alpha, r1, r2, ops=NUMPY_OPS):
+def _f_derivs(family, alpha, r1, r2):
     """f = -k^(-alpha) and derivatives via the homogeneity chain rule:
 
     fdot = alpha k^-(1+alpha) kdot,
     fddot = -alpha(1+alpha) k^-(2+alpha) kdot (x) kdot + alpha k^-(1+alpha) kddot.
     """
-    k, k1, k2, k11, k12, k22 = _k_derivs(family, alpha, r1, r2, ops)
-    ka = ops.pow(k, -alpha)
+    k, k1, k2, k11, k12, k22 = _k_derivs(family, alpha, r1, r2)
+    ka = k**-alpha
     c1 = alpha * ka / k
     c2 = -alpha * (1 + alpha) * ka / (k * k)
     f1 = c1 * k1

@@ -52,9 +52,10 @@ def fd_f_derivs(family, alpha, r1, r2, h1st=1e-6, h2nd=1e-4):
 _SYMPY_CACHE = {}
 
 
-def sympy_f_derivs(family, alpha, r1v, r2v):
+def sympy_f_derivs(family, alpha, r1v, r2v, convert=float):
     """Exact symbolic derivatives of the curvature-variable speed, evaluated
-    at 50 digits.  alpha must be exactly representable (dyadic test values)."""
+    at 50 digits and passed through `convert`.  alpha must be exactly
+    representable (dyadic test values)."""
     import sympy as sp
 
     key = (family, Fraction(alpha))
@@ -79,7 +80,7 @@ def sympy_f_derivs(family, alpha, r1v, r2v):
         _SYMPY_CACHE[key] = (derivs, (r1, r2))
     derivs, (r1, r2) = _SYMPY_CACHE[key]
     subs = {r1: sp.Rational(Fraction(r1v)), r2: sp.Rational(Fraction(r2v))}
-    return tuple(float(d.subs(subs).evalf(50)) for d in derivs)
+    return tuple(convert(d.subs(subs).evalf(50)) for d in derivs)
 
 
 # --- geometry oracles ------------------------------------------------------

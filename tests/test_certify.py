@@ -3,6 +3,7 @@
 from fractions import Fraction
 
 import mpmath
+import numpy as np
 import pytest
 
 from pinchflow import (
@@ -18,6 +19,18 @@ from pinchflow import (
     log_ratio_grid,
     sign_scan,
 )
+from pinchflow.certificates import _power_sum_terms
+from pinchflow.pinching import (
+    _gdot,
+    _gradient_terms_raw,
+    _normalize,
+    _power_sum_p,
+    _power_sum_table,
+    _raw_arrays,
+    horner,
+)
+
+import oracles
 
 
 def test_log_ratio_grid_shape():
@@ -85,15 +98,69 @@ def test_certify_gauss_violations_with_witness():
         assert max(n1, n2) > 0
 
 
-def test_certify_interval_families():
-    rep = certify_nonpositive("mean_power", alpha=3.0)
-    assert rep.verdict == "nonpositive_sampled"
-    assert rep.tail == "sampled"
-    rep = certify_nonpositive("norm_power", alpha=8.0)
-    assert rep.verdict == "nonpositive_sampled"
-    rep = certify_nonpositive("mean_power", alpha=6.0)
-    assert rep.verdict == "violated"
+# certify_nonpositive's verdict on the three power-sum families
+POWER_SUM_LADDER = [
+    *(("mean_power", a, "nonpositive_certified") for a in (3.0, 4.5, 5.15625)),
+    *(("mean_power", a, "violated") for a in (5.1875, 6.0)),
+    *(("norm_power", a, "nonpositive_certified") for a in (7.0, 8.0, 8.125)),
+    *(("norm_power", a, "violated") for a in (8.1875, 9.0)),
+    *(
+        ("sum_power", a, "nonpositive_certified")
+        for a in (0.5, 0.7, 1.5, 3.0, 3.3, 10.0, 10.7, 50.0, 100.0)
+    ),
+    ("sum_power", 0.3, "violated"),
+]
+
+
+def q_reference(family, alpha, t):
+    """(Q1, Q2) at r = (1, t) from sympy's exact derivatives at 50 digits: the
+    float routes lose up to ~1e-9 to cancellation next to a sign change."""
+    with mpmath.workdps(50):
+        fd = oracles.sympy_f_derivs(family, alpha, 1, t, convert=mpmath.mpf)
+        q1, q2 = _normalize(*_gradient_terms_raw(fd, mpmath.mpf(t) - 1), fd[0])
+        return float(q1), float(q2)
+
+
+@pytest.mark.parametrize("family, alpha, verdict", POWER_SUM_LADDER)
+def test_certify_power_sum_ladder(family, alpha, verdict):
+    rep = certify_nonpositive(family, alpha=alpha)
+    assert rep.verdict == verdict
+    assert "pieces" not in rep.method
+    if verdict == "nonpositive_certified":
+        assert rep.tail == "certified"
+        assert rep.q1_max == rep.q2_max == Fraction(0)
+        return
     assert rep.witness_q > 0
+    q1, q2 = q_reference(family, alpha, rep.witness_t)
+    assert max(q1, q2) == pytest.approx(rep.witness_q, rel=1e-9)
+    # an exact Sturm witness covers the tail; sum_power 0.3 is a scan witness
+    assert rep.tail == ("none" if family == "sum_power" else "certified")
+
+
+@pytest.mark.parametrize(
+    "family, alpha", [("mean_power", 3.0), ("norm_power", 7.0), ("sum_power", 3.0)]
+)
+def test_ring_numerators_match_raw_arrays(family, alpha):
+    # N_i = D t^-lo w^-k Qraw_i, with Qraw_i the table's raw Q; the table's
+    # normalized Q is Qraw_i (-2/f) / g_i^2 / S^(2 - alpha/p)
+    speed = SpeedFunction(family, alpha)
+    t = np.geomspace(1.5, 1e3, 200)
+    terms, exact = _power_sum_terms(speed, 1)
+    assert exact
+    p = _power_sum_p(family, alpha)
+    fd = _power_sum_table(alpha, p, 1.0, t**-p, 1.0, 1 / t)
+    g = _gdot(fd, t - 1)
+    scale = 1.0 if alpha == p else (1 + t**-p) ** (2 - alpha / p)
+    for term, g_i, q_i in zip(terms, g, _raw_arrays(speed, t)):
+        (coeffs,) = term.numerator(1)
+        k = min(w for _, _, w in term.terms)
+        n = horner([float(c) for c in coeffs], t) * (t - 1) ** k
+        q = n * (-2 / fd[0]) / (g_i * g_i) / scale
+        # D t^-lo: a positive constant times an integer power of t
+        lo = round(float(np.log(q[-1] / q_i[-1] * q_i[0] / q[0]) / np.log(t[0] / t[-1])))
+        factor = q[0] / q_i[0] * t[0] ** lo
+        assert factor > 0
+        np.testing.assert_allclose(q * t**lo / factor, q_i, rtol=1e-12)
 
 
 def test_certify_sum_power_and_cap():

@@ -1,6 +1,7 @@
 """Command-line behavior: exit codes, determinism, config validation."""
 
 import dataclasses
+import hashlib
 import json
 import os
 import subprocess
@@ -35,21 +36,28 @@ def test_verify_identities_seed_independent_status():
 
 
 def test_verify_identities_negative_control(tmp_path):
-    # a 1e-6 relative error in fdot or in fddot must trip the comparison of the
-    # two independent gradient-term routes; Z and the reduction are algebraic
-    # identities in the derivative values and cannot see it
-    exact = speeds._f_derivs
-    for index, name in ((1, "fdot"), (4, "fddot")):  # f1, then f12
+    # a 1e-6 relative error in one derivative, for every family or for one,
+    # must trip the comparison of the two independent gradient-term routes;
+    # Z and the reduction are algebraic identities in the derivative values
+    # and cannot see it
+    corruptions = (  # (name, speeds function, scaled output, family or all)
+        ("fdot", "_f_derivs", 1, None),  # f1
+        ("fddot", "_f_derivs", 4, None),  # f12
+        ("mean_k1", "_k_derivs", 1, "mean_power"),
+    )
+    for name, attr, index, family in corruptions:
+        exact = getattr(speeds, attr)
 
-        def corrupted(*args, index=index):
-            fd = list(exact(*args))
-            fd[index] = fd[index] * (1 + 1e-6)
-            return tuple(fd)
+        def corrupted(*args, exact=exact, index=index, family=family):
+            out = list(exact(*args))
+            if family in (None, args[0]):
+                out[index] = out[index] * (1 + 1e-6)
+            return tuple(out)
 
         out = tmp_path / name
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(speeds, "_f_derivs", corrupted)
-            mp.setattr(pinching, "_f_derivs", corrupted)
+            mp.setattr(speeds, attr, corrupted)
+            mp.setattr(pinching, attr, corrupted)
             code = invoke("verify-identities", "--draws", "200", "--out", str(out))
         assert code == 1, name
         doc = json.loads((out / "identities.json").read_text())
@@ -118,6 +126,51 @@ def test_q_sign_config_file(tmp_path):
     # unknown keys are rejected with the field named
     cfg.write_text(json.dumps({"family": "gauss_power", "alpha": 2.0, "spam": 1}))
     assert invoke("q-sign", "--config", str(cfg)) == 2
+    # the interval engine's depth limit is gone, as a key and as a flag
+    cfg.write_text(json.dumps({"family": "mean_power", "alpha": 3.0, "depth_limit": 60}))
+    assert invoke("q-sign", "--config", str(cfg)) == 2
+    with pytest.raises(SystemExit) as exc:
+        invoke("q-sign", "--family", "mean_power", "--alpha", "3", "--depth-limit", "60")
+    assert exc.value.code == 2
+
+
+# sha256 of the timestamp-stripped gauss_power reports, as written before the
+# other families moved to exact numerators; that change must not move them
+GAUSS_REPORT_SHA256 = [
+    (
+        ("q-sign", "--family", "gauss_power", "--alpha", "1.5"),
+        "qsign.json",
+        "76aa79733f99d1c4e1fa2358d6ff3390f01e90042502bc569204cd75e4a1c6e1",
+    ),
+    (
+        ("q-sign", "--family", "gauss_power", "--alpha", "0.4"),
+        "qsign.json",
+        "199aa8a149349f6b81bdb6c4cabd384fa7897d98c32467d509247929303c8546",
+    ),
+    (
+        ("q-sign", "--family", "gauss_power", "--alpha", "2.1"),
+        "qsign.json",
+        "979cab435a10f43ebdc970796509b76a6a393d3f90c67a001bcc15ac047d8b3a",
+    ),
+    (
+        ("q-sign", "--family", "gauss_power", "--alpha", "3.0"),
+        "qsign.json",
+        "7769939e028dfe518c18a8ab87ceafcd7b0317cd5f9dc76b2d1de2050e054dc4",
+    ),
+    (
+        ("threshold", "--family", "gauss_power", "--alpha-lo", "1.5")
+        + ("--alpha-hi", "3", "--tol", "0.05"),
+        "threshold.json",
+        "230cfceedad97713106c7d79ba91d329704b5d8477d119131ad36ab2e84d2fd5",
+    ),
+]
+
+
+@pytest.mark.parametrize("argv, name, digest", GAUSS_REPORT_SHA256)
+def test_gauss_report_bytes_pinned(tmp_path, argv, name, digest):
+    invoke(*argv, "--out", str(tmp_path))
+    text = strip_timestamp((tmp_path / name).read_text())
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 # --- config files ------------------------------------------------------------

@@ -191,15 +191,3 @@ def test_array_evaluation_matches_scalar():
             assert arr[0][i] == pytest.approx(sc.f, rel=1e-14)
             assert arr[3][i] == pytest.approx(sc.f11, rel=1e-14)
 
-
-def test_interval_ops_enclose_floats():
-    from mpmath import iv
-
-    from pinchflow.speeds import _f_derivs, interval_ops
-
-    ops = interval_ops(iv)
-    for fam in FAMILIES:
-        vals = _f_derivs(fam, 1.5, iv.mpf("1.25"), iv.mpf("3.5"), ops=ops)
-        floats = _f_derivs(fam, 1.5, 1.25, 3.5)
-        for enclosure, point in zip(vals, floats):
-            assert enclosure.a <= point <= enclosure.b
