@@ -242,8 +242,9 @@ def _shift_nonpositive(p):
 def _certify_numerator(coeffs, t_hi):
     """Exact verdict for 'polynomial <= 0 on (1, t_hi] and on the tail'.
 
-    Returns (region_ok, tail_ok, witness_t) where witness_t is a rational
-    point with positive value when either part fails.
+    Returns None when both parts hold, else a rational witness point with
+    positive value: near the first sign change in (1, max(t_hi, Cauchy
+    bound, 2)], or, when only the tail fails, twice that bound.
 
     Soundness: every gap between isolating intervals is root-free, so its
     midpoint decides its sign; an isolating interval holds exactly one
@@ -253,7 +254,7 @@ def _certify_numerator(coeffs, t_hi):
     p = _trim([Fraction(c) for c in coeffs])
     one = Fraction(1)
     if _shift_nonpositive(p):  # what the Sturm count below concludes, sooner
-        return True, True, None
+        return None
     tail_ok = p[0] < 0
     chain = _sturm_chain(p)
     bound = _cauchy_bound(p)
@@ -287,14 +288,13 @@ def _certify_numerator(coeffs, t_hi):
                 else:
                     lo = mid
             if x > one:
-                return False, tail_ok, x
+                return x
             for k in range(40, 0, -1):  # positive at the left endpoint itself
                 cand = one + (hi - one) / (1 << k)
                 if horner(p, cand) > 0:
-                    return False, tail_ok, cand
+                    return cand
             raise RuntimeError("positive endpoint without interior witness")
-    witness = None if tail_ok else 2 * max(hi, bound)
-    return True, tail_ok, witness
+    return None if tail_ok else 2 * max(hi, bound)
 
 
 # ---------------------------------------------------------------------------
@@ -436,8 +436,8 @@ def certify_nonpositive(speed, alpha=None, t_max=1e6) -> QReport:
     found = []  # (witness x, index of the failing Q_i), x = t^(1/q)
     for which, polys in enumerate(numerators):
         if len(polys) == 1:  # in x alone; sandwich numerators passed above
-            region_ok, tail_ok, witness = _certify_numerator(polys[0], Fraction(t_max))
-            if not (region_ok and tail_ok):
+            witness = _certify_numerator(polys[0], Fraction(t_max))
+            if witness is not None:
                 found.append((witness, which))
     if not found:
         return report(

@@ -4,8 +4,8 @@ State is the support function s(theta) on a uniform grid over [0, pi].  The
 principal radii split into a meridian radius s'' + s and a rotational radius
 cot(theta) s' + s; both collapse to s'' + s at the axis, which the even
 ghost-node reflection supplies without one-sided stencils.  That stencil
-lives in one function, `_radii`, used by `radii_from_support`, `diagnostics`
-and the stepper.
+lives in one function, `_radii`; `run` calls it once at the start and once
+per accepted step (inside `_midpoint`), and its records reuse those arrays.
 
 Time stepping is explicit midpoint with a parabolic CFL cap, halving on
 convexity rejection.  Two array kernels make up the stepper: `_rate_and_cap`
@@ -13,7 +13,8 @@ convexity rejection.  Two array kernels make up the stepper: `_rate_and_cap`
 rejection).  `run` loops over them on bare arrays; `step` and `adaptive_dt`
 wrap the same kernels for one SupportProfile, so iterating
 `step(p, speed, adaptive_dt(p, speed, safety))` reproduces `run` bit for bit
-while no step is rejected.
+while no step is rejected.  `_diagnose` makes a record from the stepper's
+arrays; `diagnostics` wraps it for one profile.
 
 Grids are kept mirror-symmetric bit for bit: the cotangent table and the
 built-in initial profiles are constructed on the upper half and reflected,
@@ -45,22 +46,14 @@ def _make_grid(n_nodes):
     return np.linspace(0.0, math.pi, n_nodes)
 
 
-_COT_CACHE = {}
-
-
 def _cot_table(theta):
     """cot(theta) with exact odd mirror symmetry about the equator; the pole
-    entries are never used (the radii formulas switch branch there).  Cached
-    per node count — profiles always live on the standard uniform grid."""
+    entries are never used (the radii formulas switch branch there)."""
     n = theta.size
-    c = _COT_CACHE.get(n)
-    if c is None:
-        h = n // 2
-        c = np.zeros(n)
-        c[1:h] = np.cos(theta[1:h]) / np.sin(theta[1:h])
-        c[h + 1 : n - 1] = -c[1:h][::-1]
-        c.setflags(write=False)
-        _COT_CACHE[n] = c
+    h = n // 2
+    c = np.zeros(n)
+    c[1:h] = np.cos(theta[1:h]) / np.sin(theta[1:h])
+    c[h + 1 : n - 1] = -c[1:h][::-1]
     return c
 
 
@@ -116,13 +109,6 @@ def ellipsoid_support(a, b, n_nodes=201):
     return SupportProfile(theta, s)
 
 
-def ellipsoid_radii(a, b, theta):
-    """Closed-form principal radii of the spheroid at support angle theta."""
-    theta = np.asarray(theta, dtype=float)
-    s = np.sqrt(b * b + (a * a - b * b) * np.cos(theta) ** 2)
-    return RadiiField(r1=a * a * b * b / s**3, r2=b * b / s)
-
-
 def _radii(s, d, cot):
     """The finite-difference stencil: even reflection of s across each pole,
     then central differences.  Returns the meridian radius s'' + s, the
@@ -144,6 +130,22 @@ def _convex(r1, r2):
     return r1.min() > 0 and r2.min() > 0
 
 
+def _convex_radii(theta, s, d, cot):
+    """`_radii`, raising ConvexityLossError that names the node of the smallest
+    radius when either radius is nonpositive (the flow is undefined there)."""
+    r1, r2, diff = _radii(s, d, cot)
+    if not _convex(r1, r2):
+        node = int(np.argmin(np.minimum(r1, r2)))
+        raise ConvexityLossError(
+            f"convexity lost at node {node} (theta={theta[node]:.6f}): "
+            f"r1={r1[node]:.6e}, r2={r2[node]:.6e}",
+            node=node,
+            r1=float(r1[node]),
+            r2=float(r2[node]),
+        )
+    return r1, r2, diff
+
+
 def _rate_and_cap(family, alpha, r1, r2):
     """ds/dt = -k^(-alpha) and the parabolic CFL cap max(df1 + df2), where
     df_i = alpha k^-(1+alpha) dk_i is the linearization's diffusion trace."""
@@ -155,42 +157,27 @@ def _rate_and_cap(family, alpha, r1, r2):
 
 def _midpoint(family, alpha, s, rate0, dt, d, cot):
     """One explicit midpoint step from s, whose rate is rate0.  Returns the
-    new (s, r1, r2), or None when the midpoint loses convexity or the result
-    loses convexity or positivity (the caller halves dt)."""
+    new (s, r1, r2, diff) as `_radii` gives them, or None when the midpoint
+    loses convexity or the result loses convexity or positivity (the caller
+    halves dt)."""
     s_mid = s + (0.5 * dt) * rate0
     rm1, rm2, _ = _radii(s_mid, d, cot)
     if not _convex(rm1, rm2):
         return None
     k_mid = _k_derivs(family, alpha, rm1, rm2)[0]
     s_new = s + dt * (-(k_mid ** (-alpha)))
-    r1, r2, _ = _radii(s_new, d, cot)
+    r1, r2, diff = _radii(s_new, d, cot)
     if not _convex(r1, r2) or s_new.min() <= 0:
         return None
-    return s_new, r1, r2
-
-
-def _profile_radii(profile):
-    """Radii of a profile and its slope s'; raises ConvexityLossError when
-    either radius is nonpositive anywhere (the flow operator is undefined
-    there)."""
-    d = profile.dtheta
-    r1, r2, diff = _radii(profile.s, d, _cot_table(profile.theta))
-    if not _convex(r1, r2):
-        node = int(np.argmin(np.minimum(r1, r2)))
-        raise ConvexityLossError(
-            f"convexity lost at node {node} (theta={profile.theta[node]:.6f}): "
-            f"r1={r1[node]:.6e}, r2={r2[node]:.6e}",
-            node=node,
-            r1=float(r1[node]),
-            r2=float(r2[node]),
-        )
-    return RadiiField(r1=r1, r2=r2), diff / (2.0 * d)
+    return s_new, r1, r2, diff
 
 
 def radii_from_support(profile) -> RadiiField:
     """Principal radii on the grid; raises ConvexityLossError when either
     radius is nonpositive anywhere."""
-    return _profile_radii(profile)[0]
+    th = profile.theta
+    r1, r2, _ = _convex_radii(th, profile.s, profile.dtheta, _cot_table(th))
+    return RadiiField(r1=r1, r2=r2)
 
 
 def step(profile, speed, dt) -> SupportProfile:
@@ -226,40 +213,22 @@ def adaptive_dt(profile, speed, safety=0.25):
     return float(safety * (d * d) / cap)
 
 
-def pinching_sup(rf: RadiiField, alpha):
-    """sup of (r2 - r1)^2 / (r1 r2)^alpha over the grid."""
-    return float(
-        np.max((rf.r2 - rf.r1) ** 2 / (rf.r1 * rf.r2) ** float(alpha))
-    )
-
-
-def _center_estimate(profile):
-    """Axial Steiner point: (3/2) integral of s cos sin."""
-    th = profile.theta
-    return 1.5 * float(_trapz(profile.s * np.cos(th) * np.sin(th), th))
-
-
-def diagnostics(profile, alpha, speed=None):
-    """Per-profile record: pinching sup at exponent alpha, radius extremes,
-    per-node max ratio supremum, circumradius/inradius about the axial
-    Steiner point (documented estimators, heuristic near strong anisotropy),
-    and min |speed| when a speed function is supplied."""
-    rf, s_th = _profile_radii(profile)
-    th = profile.theta
-    s = profile.s
-    q = _center_estimate(profile)
+def _diagnose(th, d, s, r1, r2, diff, alpha, speed):
+    """The diagnostics of a convex profile from its `_radii` arrays.  The
+    centre is the axial Steiner point (3/2) integral of s cos sin; circum-
+    and inradius are taken about it."""
+    s_th = diff / (2.0 * d)
+    q = 1.5 * float(_trapz(s * np.cos(th) * np.sin(th), th))
     x = s * np.sin(th) + s_th * np.cos(th)
     z = s * np.cos(th) - s_th * np.sin(th)
     circum = float(np.max(np.hypot(x, z - q)))
     inrad = float(np.min(s - q * np.cos(th)))
     out = {
         "alpha": float(alpha),
-        "pinch_sup": pinching_sup(rf, alpha),
-        "min_radius": float(np.minimum(rf.r1, rf.r2).min()),
-        "max_radius": float(np.maximum(rf.r1, rf.r2).max()),
-        "max_ratio": float(
-            max(np.max(rf.r1 / rf.r2), np.max(rf.r2 / rf.r1))
-        ),
+        "pinch_sup": float(np.max((r2 - r1) ** 2 / (r1 * r2) ** float(alpha))),
+        "min_radius": float(np.minimum(r1, r2).min()),
+        "max_radius": float(np.maximum(r1, r2).max()),
+        "max_ratio": float(max(np.max(r1 / r2), np.max(r2 / r1))),
         "min_support": float(s.min()),
         "max_support": float(s.max()),
         "center_z": q,
@@ -268,9 +237,20 @@ def diagnostics(profile, alpha, speed=None):
         "roundness": circum / inrad,
     }
     if speed is not None:
-        k = _k_derivs(speed.family, float(speed.alpha), rf.r1, rf.r2)[0]
+        k = _k_derivs(speed.family, float(speed.alpha), r1, r2)[0]
         out["min_abs_speed"] = float(np.min(k ** (-float(speed.alpha))))
     return out
+
+
+def diagnostics(profile, alpha, speed=None):
+    """Per-profile record: pinching sup of (r2 - r1)^2 / (r1 r2)^alpha,
+    radius extremes, per-node max ratio supremum, circumradius/inradius
+    about the axial Steiner point (documented estimators, heuristic near
+    strong anisotropy), and min |speed| when a speed function is supplied;
+    raises ConvexityLossError where `radii_from_support` does."""
+    th, d = profile.theta, profile.dtheta
+    r1, r2, diff = _convex_radii(th, profile.s, d, _cot_table(th))
+    return _diagnose(th, d, profile.s, r1, r2, diff, alpha, speed)
 
 
 @dataclass(frozen=True)
@@ -351,17 +331,12 @@ class FlowTrace:
         out["config"] = asdict(self.config)
         return out
 
-    def to_json_dict(self):
-        out = self.summary_dict()
-        out["records"] = [r.row() for r in self.records]
-        out["columns"] = list(TRACE_COLUMNS)
-        return out
 
-
-def _record(records, n, t, dt, profile, alpha, speed):
-    d = diagnostics(profile, alpha, speed=speed)
-    d.update(step=n, t=t, dt=dt)
-    records.append(FlowRecord(**{c: d[c] for c in TRACE_COLUMNS}))
+def _record(records, n, t, dt, th, d, arrays, alpha, speed):
+    """Append the record of step n from the stepper's (s, r1, r2, diff)."""
+    out = _diagnose(th, d, *arrays, alpha, speed)
+    out.update(step=n, t=t, dt=dt)
+    records.append(FlowRecord(**{c: out[c] for c in TRACE_COLUMNS}))
 
 
 def run(config: FlowConfig, profile=None) -> FlowTrace:
@@ -370,35 +345,41 @@ def run(config: FlowConfig, profile=None) -> FlowTrace:
     cap and takes the `step` midpoint update through the same kernels,
     halving dt on rejection; a rejection that survives eight halvings aborts
     with the partial trace attached to the exception.  The loop carries bare
-    arrays, since a SupportProfile per step would re-validate the grid.
+    arrays, since a SupportProfile per step would re-validate the grid; the
+    arrays `_midpoint` returns feed both the next step and the records.  A
+    given `profile` must have `config.n_nodes` nodes.
     """
     alpha = float(config.alpha)
     fam = config.family
     speed = config.speed()
     if profile is None:
         profile = config.initial_profile()
+    elif profile.n_nodes != config.n_nodes:
+        raise DomainError(
+            f"profile has {profile.n_nodes} nodes, config.n_nodes is {config.n_nodes}"
+        )
     theta = profile.theta
     cot = _cot_table(theta)
     d = profile.dtheta
-    safety = config.safety
 
     records = []
     t = 0.0
     n = 0
     dt = 0.0
-    s = profile.s.copy()
+    s = profile.s
     s0_min = float(s.min())
     target = config.stop_fraction * s0_min
     try:
-        rf = radii_from_support(profile)
+        r1, r2, diff = _convex_radii(theta, s, d, cot)
     except ConvexityLossError as err:
         err.trace = _partial(config, records, n, t, profile)
         raise
-    r1, r2 = rf.r1, rf.r2
-    _record(records, n, t, dt, profile, alpha, speed)
-    while True:
+    arrays = (s, r1, r2, diff)
+    _record(records, n, t, dt, theta, d, arrays, alpha, speed)
+    status = None
+    while status is None:
         rate0, cap = _rate_and_cap(fam, alpha, r1, r2)
-        dt = safety * (d * d) / cap
+        dt = config.safety * (d * d) / cap
         for _ in range(8):
             out = _midpoint(fam, alpha, s, rate0, dt, d, cot)
             if out is not None:
@@ -410,20 +391,16 @@ def run(config: FlowConfig, profile=None) -> FlowTrace:
             )
             err.trace = _partial(config, records, n, t, SupportProfile(theta, s, t))
             raise err
-        s, r1, r2 = out
+        s, r1, r2, _ = arrays = out
         t += dt
         n += 1
-        if n % config.record_every == 0:
-            _record(records, n, t, dt, SupportProfile(theta, s.copy(), t), alpha, speed)
         if float(s.min()) <= target:
             status = "extinct_fraction"
-            break
-        if n >= config.max_steps:
+        elif n >= config.max_steps:
             status = "max_steps"
-            break
-    final = SupportProfile(theta, s.copy(), t)
-    if records[-1].step != n:
-        _record(records, n, t, dt, final, alpha, speed)
+        if status or n % config.record_every == 0:
+            _record(records, n, t, dt, theta, d, arrays, alpha, speed)
+    final = SupportProfile(theta, s, t)
     trace = FlowTrace(
         config=config,
         records=records,
@@ -476,9 +453,6 @@ class ExtinctionEstimate:
     rows_used: int
     center_z: float
     low_confidence: bool
-
-    def to_json_dict(self):
-        return asdict(self)
 
 
 def extinction_estimate(trace: FlowTrace) -> ExtinctionEstimate:

@@ -24,7 +24,7 @@ from pinchflow import (
     sphere_support,
     step,
 )
-from pinchflow.flow import SupportProfile, _make_grid, pinching_drift
+from pinchflow.flow import TRACE_COLUMNS, SupportProfile, _make_grid, pinching_drift
 
 import oracles
 
@@ -261,8 +261,33 @@ def test_run_convexity_loss_partial_trace():
     cfg = FlowConfig("gauss_power", 2.0, n_nodes=101)
     with pytest.raises(ConvexityLossError) as exc:
         run(cfg, profile=bumpy_profile())
+    assert exc.value.node >= 0  # the initial check, not the dt-halving abort
+    assert min(exc.value.r1, exc.value.r2) <= 0
     trace = exc.value.trace
     assert trace is not None and trace.status == "convexity_loss"
+
+
+def test_run_rejects_profile_of_other_node_count():
+    cfg = FlowConfig("gauss_power", 2.0, n_nodes=201, stop_fraction=0.2)
+    with pytest.raises(DomainError):
+        run(cfg, profile=sphere_support(1.0, 101))
+
+
+@pytest.mark.parametrize("family", ["gauss_power", "mean_power", "norm_power", "sum_power"])
+def test_run_records_match_diagnostics(family):
+    cfg = FlowConfig(
+        family, 1.5, a=2.0, b=1.0, n_nodes=51, max_steps=20, record_every=1
+    )
+    speed = cfg.speed()
+    trace = run(cfg)
+    assert len(trace.records) == 21
+    checked = [c for c in TRACE_COLUMNS if c not in ("step", "t", "dt")]
+    for rec, profile in (
+        (trace.records[0], cfg.initial_profile()),
+        (trace.records[-1], trace.profile),
+    ):
+        want = diagnostics(profile, cfg.alpha, speed)
+        assert {c: getattr(rec, c) for c in checked} == {c: want[c] for c in checked}
 
 
 def test_run_times_strictly_increase():
