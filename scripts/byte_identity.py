@@ -24,6 +24,8 @@ COMMANDS = [
     "sweep --config perfbench/sweep_coarse.json --workers 1",
     f"flow --family gauss_power --alpha 1 {FLOW}",
     f"flow --family mean_power --alpha 1.5 {FLOW}",
+    f"flow --family norm_power --alpha 1 {FLOW}",
+    f"flow --family sum_power --alpha 2.5 {FLOW}",
     "q-sign --family gauss_power --alpha 1.5",
     "q-sign --family gauss_power --alpha 0.4",
     "q-sign --family gauss_power --alpha 2.1",

@@ -10,7 +10,10 @@ per accepted step (inside `_midpoint`), and its records reuse those arrays.
 Time stepping is explicit midpoint with a parabolic CFL cap, halving on
 convexity rejection.  Two array kernels make up the stepper: `_rate_and_cap`
 (the rate -k^(-alpha) and the cap) and `_midpoint` (one step, or a
-rejection).  `run` loops over them on bare arrays; `step` and `adaptive_dt`
+rejection).  They ask `speeds._k_derivs` for no more than they read:
+`_rate_and_cap` for order 1 (k, k1, k2), `_midpoint` and `_diagnose`'s
+min |speed| for order 0 (k alone), so no second derivative is formed per
+step.  `run` loops over them on bare arrays; `step` and `adaptive_dt`
 wrap the same kernels for one SupportProfile, so iterating
 `step(p, speed, adaptive_dt(p, speed, safety))` reproduces `run` bit for bit
 while no step is rejected.  `_diagnose` makes a record from the stepper's
@@ -148,23 +151,23 @@ def _convex_radii(theta, s, d, cot):
 
 def _rate_and_cap(family, alpha, r1, r2):
     """ds/dt = -k^(-alpha) and the parabolic CFL cap max(df1 + df2), where
-    df_i = alpha k^-(1+alpha) dk_i is the linearization's diffusion trace."""
-    kd = _k_derivs(family, alpha, r1, r2)
-    k = kd[0]
+    df_i = alpha k^-(1+alpha) dk_i is the linearization's diffusion trace.
+    Needs k and its first derivatives only: `_k_derivs` at order 1."""
+    k, k1, k2 = _k_derivs(family, alpha, r1, r2, order=1)
     a = k ** (-(1.0 + alpha))
-    return -(a * k), float(np.max(alpha * a * (kd[1] + kd[2])))
+    return -(a * k), float(np.max(alpha * a * (k1 + k2)))
 
 
 def _midpoint(family, alpha, s, rate0, dt, d, cot):
     """One explicit midpoint step from s, whose rate is rate0.  Returns the
     new (s, r1, r2, diff) as `_radii` gives them, or None when the midpoint
     loses convexity or the result loses convexity or positivity (the caller
-    halves dt)."""
+    halves dt).  The midpoint rate needs k only: `_k_derivs` at order 0."""
     s_mid = s + (0.5 * dt) * rate0
     rm1, rm2, _ = _radii(s_mid, d, cot)
     if not _convex(rm1, rm2):
         return None
-    k_mid = _k_derivs(family, alpha, rm1, rm2)[0]
+    k_mid = _k_derivs(family, alpha, rm1, rm2, order=0)
     s_new = s + dt * (-(k_mid ** (-alpha)))
     r1, r2, diff = _radii(s_new, d, cot)
     if not _convex(r1, r2) or s_new.min() <= 0:
@@ -237,7 +240,7 @@ def _diagnose(th, d, s, r1, r2, diff, alpha, speed):
         "roundness": circum / inrad,
     }
     if speed is not None:
-        k = _k_derivs(speed.family, float(speed.alpha), r1, r2)[0]
+        k = _k_derivs(speed.family, float(speed.alpha), r1, r2, order=0)
         out["min_abs_speed"] = float(np.min(k ** (-float(speed.alpha))))
     return out
 

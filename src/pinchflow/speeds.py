@@ -67,33 +67,51 @@ class FDerivs(NamedTuple):
     f22: float
 
 
-def _k_derivs(family, alpha, r1, r2):
-    """k and its first/second radii-derivatives, closed form per family."""
+def _k_derivs(family, alpha, r1, r2, order=2):
+    """k and its radii-derivatives up to `order`, closed form per family.
+
+    order 0 gives k alone (the flow's midpoint rate and `min_abs_speed`,
+    `eval_f`), order 1 gives (k, k1, k2) (the flow's step rate and CFL
+    cap), and order 2, the default, gives (k, k1, k2, k11, k12, k22).  Each expression is
+    written once and a lower order returns before the higher ones, so every
+    order yields the same bits as the matching prefix of order 2.
+    """
     if family == "gauss_power":
         k = np.sqrt(r1 * r2)
-        return k, k / (2 * r1), k / (2 * r2), -k / (4 * r1 * r1), 1 / (4 * k), -k / (4 * r2 * r2)
+        if order == 0:
+            return k
+        k1 = k / (2 * r1)
+        k2 = k / (2 * r2)
+        if order == 1:
+            return k, k1, k2
+        return k, k1, k2, -k / (4 * r1 * r1), 1 / (4 * k), -k / (4 * r2 * r2)
     if family == "mean_power":
         s = r1 + r2
         k = r1 * r2 / s
+        if order == 0:
+            return k
+        k1 = (r2 / s) ** 2
+        k2 = (r1 / s) ** 2
+        if order == 1:
+            return k, k1, k2
         s3 = s * s * s
-        return (
-            k,
-            (r2 / s) ** 2,
-            (r1 / s) ** 2,
-            -2 * r2 * r2 / s3,
-            2 * r1 * r2 / s3,
-            -2 * r1 * r1 / s3,
-        )
+        return k, k1, k2, -2 * r2 * r2 / s3, 2 * r1 * r2 / s3, -2 * r1 * r1 / s3
     if family == "norm_power":
         q2 = r1 * r1 + r2 * r2
         q = np.sqrt(q2)
-        q3 = q * q2
-        q5 = q3 * q2
         k = r1 * r2 / q
+        if order == 0:
+            return k
+        q3 = q * q2
+        k1 = r2 * r2 * r2 / q3
+        k2 = r1 * r1 * r1 / q3
+        if order == 1:
+            return k, k1, k2
+        q5 = q3 * q2
         return (
             k,
-            r2 * r2 * r2 / q3,
-            r1 * r1 * r1 / q3,
+            k1,
+            k2,
             -3 * r1 * r2**3 / q5,
             3 * r1 * r1 * r2 * r2 / q5,
             -3 * r2 * r1**3 / q5,
@@ -104,8 +122,12 @@ def _k_derivs(family, alpha, r1, r2):
         v = (np.minimum(r1, r2) / m) ** alpha
         A = (1 + v) ** (-1.0 / alpha)
         k = r1 * r2 * A / m
+        if order == 0:
+            return k
         k1 = (r2 * A / m) ** (1 + alpha)
         k2 = (r1 * A / m) ** (1 + alpha)
+        if order == 1:
+            return k, k1, k2
         c = (1 + alpha) / k
         k11 = c * k1 * (k1 - k / r1)
         k22 = c * k2 * (k2 - k / r2)
@@ -169,7 +191,7 @@ def eval_f(speed: SpeedFunction, r: RadiiPoint):
     """Speed value f(r1, r2) = -k^(-alpha); strictly negative."""
     if _wants_exact(speed, r):
         return _gauss_f_derivs_exact(speed.alpha, r.r1, r.r2).f
-    k = _k_derivs(speed.family, speed.alpha, float(r.r1), float(r.r2))[0]
+    k = _k_derivs(speed.family, speed.alpha, float(r.r1), float(r.r2), order=0)
     return -(k ** -float(speed.alpha))
 
 

@@ -177,6 +177,30 @@ def test_step_and_run_agree_bit_for_bit(family, alpha):
     assert p.time == trace.t_final
 
 
+# (steps, float.hex(t_extinct), float.hex(profile.s.sum())) of a short flow
+# per family, frozen from the stepper before its k kernel took an order:
+# any change to the rounding of the hot loop moves one of them
+HOT_LOOP_PINS = {
+    "gauss_power": (2242, "0x1.73b23392f9896p-1", "0x1.a9f9cb12ee5b1p+2"),
+    "mean_power": (2357, "0x1.e617436d14691p-3", "0x1.ac7a31da4e63fp+2"),
+    "norm_power": (2525, "0x1.737139ad59d5ap-2", "0x1.b40fa841941c1p+2"),
+    "sum_power": (2435, "0x1.4801de314cfeap-2", "0x1.af3c9a4935326p+2"),
+}
+
+
+@pytest.mark.parametrize("family", sorted(HOT_LOOP_PINS))
+def test_run_hot_loop_bytes_pinned(family):
+    cfg = FlowConfig(family, 1.5, a=2.0, b=1.0, n_nodes=33, stop_fraction=0.2)
+    trace = run(cfg)
+    assert trace.status == "extinct_fraction"
+    got = (
+        trace.steps,
+        float.hex(trace.t_extinct),
+        float.hex(float(trace.profile.s.sum())),
+    )
+    assert got == HOT_LOOP_PINS[family]
+
+
 # --- diagnostics -----------------------------------------------------------
 
 

@@ -176,6 +176,29 @@ def test_domain_errors():
         SpeedFunction("box_power", 2.0)
 
 
+def test_k_derivs_orders_are_prefixes_of_order_two():
+    # the flow asks for order 0 or 1; each must give the bits of order 2's
+    # prefix, on arrays through both sides of sum_power's max/min and on the
+    # diagonal, and on plain float scalars (the eval_f path)
+    from pinchflow.speeds import _k_derivs
+
+    r1 = np.array([0.3, 2.0, 1.25, 7.0, 0.05, 4.0])
+    r2 = np.array([0.9, 0.5, 1.25, 7.0, 3.0, 1e-3])
+    for fam in FAMILIES:
+        for alpha in (0.5, 1.0, 1.75, 2.0, 7.3):
+            full = _k_derivs(fam, alpha, r1, r2)
+            assert len(full) == 6
+            assert np.array_equal(_k_derivs(fam, alpha, r1, r2, order=0), full[0])
+            first = _k_derivs(fam, alpha, r1, r2, order=1)
+            assert len(first) == 3
+            for got, want in zip(first, full):
+                assert np.array_equal(got, want)
+            for a, b in zip(r1.tolist(), r2.tolist()):
+                full = _k_derivs(fam, alpha, a, b)
+                assert _k_derivs(fam, alpha, a, b, order=0) == full[0]
+                assert _k_derivs(fam, alpha, a, b, order=1) == full[:3]
+
+
 def test_array_evaluation_matches_scalar():
     # the array path must agree with scalar calls elementwise
     from pinchflow.speeds import _f_derivs
