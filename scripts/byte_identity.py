@@ -26,6 +26,8 @@ COMMANDS = [
     f"flow --family mean_power --alpha 1.5 {FLOW}",
     f"flow --family norm_power --alpha 1 {FLOW}",
     f"flow --family sum_power --alpha 2.5 {FLOW}",
+    "flow --family norm_power --alpha 2 --a 2 --b 1 --n-nodes 201"
+    " --max-steps 3000 --record-every 1",
     "q-sign --family gauss_power --alpha 1.5",
     "q-sign --family gauss_power --alpha 0.4",
     "q-sign --family gauss_power --alpha 2.1",

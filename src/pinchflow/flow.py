@@ -16,8 +16,15 @@ min |speed| for order 0 (k alone), so no second derivative is formed per
 step.  `run` loops over them on bare arrays; `step` and `adaptive_dt`
 wrap the same kernels for one SupportProfile, so iterating
 `step(p, speed, adaptive_dt(p, speed, safety))` reproduces `run` bit for bit
-while no step is rejected.  `_diagnose` makes a record from the stepper's
-arrays; `diagnostics` wraps it for one profile.
+while no step is rejected.
+
+`_diagnose` is the one diagnostics kernel.  It takes the `_radii` arrays of
+one profile (1-d) or of a block of profiles (2-d, one per row) and reduces
+along axis=-1 only, so each row gets the bits of its profile on its own.
+`diagnostics` calls it for one profile.  `run` holds up to `_RECORD_BLOCK`
+pending records as references to the stepper's arrays, which are fresh every
+step, and builds them with one kernel call on the stacked block when the
+block is full, at the end of the run and before any partial trace.
 
 Grids are kept mirror-symmetric bit for bit: the cotangent table and the
 built-in initial profiles are constructed on the upper half and reflected,
@@ -38,7 +45,9 @@ from .errors import (
 )
 from .speeds import SpeedFunction, _k_derivs
 
-_trapz = getattr(np, "trapezoid", None) or np.trapz
+# Records wait in `run` until this many are pending; one `_diagnose` call
+# then builds the whole block.
+_RECORD_BLOCK = 64
 
 
 def _make_grid(n_nodes):
@@ -130,7 +139,7 @@ def _radii(s, d, cot):
 
 
 def _convex(r1, r2):
-    return r1.min() > 0 and r2.min() > 0
+    return np.minimum.reduce(r1) > 0 and np.minimum.reduce(r2) > 0
 
 
 def _convex_radii(theta, s, d, cot):
@@ -155,7 +164,7 @@ def _rate_and_cap(family, alpha, r1, r2):
     Needs k and its first derivatives only: `_k_derivs` at order 1."""
     k, k1, k2 = _k_derivs(family, alpha, r1, r2, order=1)
     a = k ** (-(1.0 + alpha))
-    return -(a * k), float(np.max(alpha * a * (k1 + k2)))
+    return -(a * k), float(np.maximum.reduce(alpha * a * (k1 + k2)))
 
 
 def _midpoint(family, alpha, s, rate0, dt, d, cot):
@@ -170,7 +179,7 @@ def _midpoint(family, alpha, s, rate0, dt, d, cot):
     k_mid = _k_derivs(family, alpha, rm1, rm2, order=0)
     s_new = s + dt * (-(k_mid ** (-alpha)))
     r1, r2, diff = _radii(s_new, d, cot)
-    if not _convex(r1, r2) or s_new.min() <= 0:
+    if not _convex(r1, r2) or np.minimum.reduce(s_new) <= 0:
         return None
     return s_new, r1, r2, diff
 
@@ -216,33 +225,51 @@ def adaptive_dt(profile, speed, safety=0.25):
     return float(safety * (d * d) / cap)
 
 
-def _diagnose(th, d, s, r1, r2, diff, alpha, speed):
-    """The diagnostics of a convex profile from its `_radii` arrays.  The
-    centre is the axial Steiner point (3/2) integral of s cos sin; circum-
-    and inradius are taken about it."""
+def _grid_tables(theta):
+    """cos, sin and the trapezoid widths of the grid: the fixed inputs of
+    `_diagnose`, computed once per run."""
+    return np.cos(theta), np.sin(theta), np.diff(theta)
+
+
+def _diagnose(tables, d, s, r1, r2, diff, alpha, speed):
+    """The diagnostics kernel, from `_radii` arrays of convex profiles: 1-d
+    arrays for one profile, or 2-d arrays with one profile per row.  Every
+    reduction runs along axis=-1, so a row gives the bits of the same
+    profile on its own.  The centre is the axial Steiner point (3/2)
+    integral of s cos sin, by numpy's trapezoid formula written out; circum-
+    and inradius are taken about it.  Records are pinned bit for bit, so
+    no expression may change its order of operations (s * cos * sin stays
+    a product of three).  Returns each field as `.tolist()` gives it: a
+    float for one profile, a list for a block."""
+    cos, sin, w = tables
+    alpha = float(alpha)
     s_th = diff / (2.0 * d)
-    q = 1.5 * float(_trapz(s * np.cos(th) * np.sin(th), th))
-    x = s * np.sin(th) + s_th * np.cos(th)
-    z = s * np.cos(th) - s_th * np.sin(th)
-    circum = float(np.max(np.hypot(x, z - q)))
-    inrad = float(np.min(s - q * np.cos(th)))
+    y = s * cos * sin
+    q = 1.5 * np.add.reduce(w * (y[..., 1:] + y[..., :-1]) / 2.0, axis=-1)
+    qc = q[..., None]
+    x = s * sin + s_th * cos
+    z = s * cos - s_th * sin
+    circum = np.maximum.reduce(np.hypot(x, z - qc), axis=-1)
+    inrad = np.minimum.reduce(s - qc * cos, axis=-1)
     out = {
-        "alpha": float(alpha),
-        "pinch_sup": float(np.max((r2 - r1) ** 2 / (r1 * r2) ** float(alpha))),
-        "min_radius": float(np.minimum(r1, r2).min()),
-        "max_radius": float(np.maximum(r1, r2).max()),
-        "max_ratio": float(max(np.max(r1 / r2), np.max(r2 / r1))),
-        "min_support": float(s.min()),
-        "max_support": float(s.max()),
+        "pinch_sup": np.maximum.reduce((r2 - r1) ** 2 / (r1 * r2) ** alpha, axis=-1),
+        "min_radius": np.minimum.reduce(np.minimum(r1, r2), axis=-1),
+        "max_radius": np.maximum.reduce(np.maximum(r1, r2), axis=-1),
+        "max_ratio": np.maximum(
+            np.maximum.reduce(r1 / r2, axis=-1), np.maximum.reduce(r2 / r1, axis=-1)
+        ),
+        "min_support": np.minimum.reduce(s, axis=-1),
+        "max_support": np.maximum.reduce(s, axis=-1),
         "center_z": q,
         "circumradius": circum,
         "inradius": inrad,
         "roundness": circum / inrad,
     }
     if speed is not None:
-        k = _k_derivs(speed.family, float(speed.alpha), r1, r2, order=0)
-        out["min_abs_speed"] = float(np.min(k ** (-float(speed.alpha))))
-    return out
+        beta = float(speed.alpha)
+        k = _k_derivs(speed.family, beta, r1, r2, order=0)
+        out["min_abs_speed"] = np.minimum.reduce(k ** (-beta), axis=-1)
+    return {name: value.tolist() for name, value in out.items()}
 
 
 def diagnostics(profile, alpha, speed=None):
@@ -250,10 +277,12 @@ def diagnostics(profile, alpha, speed=None):
     radius extremes, per-node max ratio supremum, circumradius/inradius
     about the axial Steiner point (documented estimators, heuristic near
     strong anisotropy), and min |speed| when a speed function is supplied;
-    raises ConvexityLossError where `radii_from_support` does."""
+    raises ConvexityLossError where `radii_from_support` does.  `run`'s
+    records come from the same kernel, `_diagnose`."""
     th, d = profile.theta, profile.dtheta
     r1, r2, diff = _convex_radii(th, profile.s, d, _cot_table(th))
-    return _diagnose(th, d, profile.s, r1, r2, diff, alpha, speed)
+    out = _diagnose(_grid_tables(th), d, profile.s, r1, r2, diff, alpha, speed)
+    return {"alpha": float(alpha), **out}
 
 
 @dataclass(frozen=True)
@@ -335,11 +364,17 @@ class FlowTrace:
         return out
 
 
-def _record(records, n, t, dt, th, d, arrays, alpha, speed):
-    """Append the record of step n from the stepper's (s, r1, r2, diff)."""
-    out = _diagnose(th, d, *arrays, alpha, speed)
-    out.update(step=n, t=t, dt=dt)
-    records.append(FlowRecord(**{c: out[c] for c in TRACE_COLUMNS}))
+def _flush(records, pending, tables, d, alpha, speed):
+    """Append the FlowRecords of the pending (n, t, dt, s, r1, r2, diff)
+    entries, stacked into one block for one `_diagnose` call, and empty
+    `pending`."""
+    if not pending:
+        return
+    n, t, dt, *arrays = zip(*pending)
+    cols = _diagnose(tables, d, *map(np.stack, arrays), alpha, speed)
+    cols.update(step=n, t=t, dt=dt)
+    records.extend(FlowRecord(*row) for row in zip(*(cols[c] for c in TRACE_COLUMNS)))
+    pending.clear()
 
 
 def run(config: FlowConfig, profile=None) -> FlowTrace:
@@ -364,8 +399,10 @@ def run(config: FlowConfig, profile=None) -> FlowTrace:
     theta = profile.theta
     cot = _cot_table(theta)
     d = profile.dtheta
+    tables = _grid_tables(theta)
 
     records = []
+    pending = []  # (n, t, dt, s, r1, r2, diff) of records not yet built
     t = 0.0
     n = 0
     dt = 0.0
@@ -375,10 +412,9 @@ def run(config: FlowConfig, profile=None) -> FlowTrace:
     try:
         r1, r2, diff = _convex_radii(theta, s, d, cot)
     except ConvexityLossError as err:
-        err.trace = _partial(config, records, n, t, profile)
+        err.trace = _partial(config, records, n, t, profile, s0_min)
         raise
-    arrays = (s, r1, r2, diff)
-    _record(records, n, t, dt, theta, d, arrays, alpha, speed)
+    pending.append((n, t, dt, s, r1, r2, diff))
     status = None
     while status is None:
         rate0, cap = _rate_and_cap(fam, alpha, r1, r2)
@@ -392,17 +428,22 @@ def run(config: FlowConfig, profile=None) -> FlowTrace:
             err = ConvexityLossError(
                 f"convexity lost at t={t:.6e} despite dt halving", node=-1
             )
-            err.trace = _partial(config, records, n, t, SupportProfile(theta, s, t))
+            _flush(records, pending, tables, d, alpha, speed)
+            final = SupportProfile(theta, s, t)
+            err.trace = _partial(config, records, n, t, final, s0_min)
             raise err
-        s, r1, r2, _ = arrays = out
+        s, r1, r2, diff = out
         t += dt
         n += 1
-        if float(s.min()) <= target:
+        if np.minimum.reduce(s) <= target:
             status = "extinct_fraction"
         elif n >= config.max_steps:
             status = "max_steps"
         if status or n % config.record_every == 0:
-            _record(records, n, t, dt, theta, d, arrays, alpha, speed)
+            pending.append((n, t, dt, s, r1, r2, diff))
+            if len(pending) >= _RECORD_BLOCK:
+                _flush(records, pending, tables, d, alpha, speed)
+    _flush(records, pending, tables, d, alpha, speed)
     final = SupportProfile(theta, s, t)
     trace = FlowTrace(
         config=config,
@@ -425,7 +466,7 @@ def run(config: FlowConfig, profile=None) -> FlowTrace:
     return trace
 
 
-def _partial(config, records, n, t, profile):
+def _partial(config, records, n, t, profile, s0_min):
     return FlowTrace(
         config=config,
         records=list(records),
@@ -433,7 +474,7 @@ def _partial(config, records, n, t, profile):
         steps=n,
         t_final=t,
         profile=profile,
-        initial_min_support=records[0].min_support if records else float("nan"),
+        initial_min_support=s0_min,
     )
 
 

@@ -1,5 +1,7 @@
 """Axisymmetric support-function flow: grids, radii, stepping, diagnostics."""
 
+import dataclasses
+import hashlib
 import math
 
 import numpy as np
@@ -24,9 +26,14 @@ from pinchflow import (
     sphere_support,
     step,
 )
+import pinchflow.flow as flowmod
 from pinchflow.flow import TRACE_COLUMNS, SupportProfile, _make_grid, pinching_drift
 
 import oracles
+
+
+def hex_row(values):
+    return tuple(float.hex(float(v)) for v in values)
 
 
 def bumpy_profile(n=101, amp=0.4):
@@ -201,6 +208,30 @@ def test_run_hot_loop_bytes_pinned(family):
     assert got == HOT_LOOP_PINS[family]
 
 
+# sha256 over the records of the HOT_LOOP_PINS flows run with record_every=1,
+# one line of float.hex fields per record, frozen before records were built a
+# block at a time: a rounding change that `diagnostics` shares moves them
+RECORD_PINS = {
+    "gauss_power": "78f3c1a2d093f5ae87fd7c0ad8c10e023376eb10e8300ab3862431bac8b52e31",
+    "mean_power": "e3b038c8c2c16abbd98ef9e46cee68b93513c8414a1b5c00046e30af16605bcb",
+    "norm_power": "cb8faae548b465da3dfc1e63df436b0c35d497bf9c672927958110f5a2c4ad68",
+    "sum_power": "e02a17027f7341b9ae0ae9b44af3d4da25fba6f70dbf617d75067a7534f95f2e",
+}
+
+
+@pytest.mark.parametrize("family", sorted(RECORD_PINS))
+def test_run_record_bytes_pinned(family):
+    cfg = FlowConfig(
+        family, 1.5, a=2.0, b=1.0, n_nodes=33, stop_fraction=0.2, record_every=1
+    )
+    trace = run(cfg)
+    assert len(trace.records) == HOT_LOOP_PINS[family][0] + 1
+    h = hashlib.sha256()
+    for rec in trace.records:
+        h.update((",".join(hex_row(rec.row())) + "\n").encode())
+    assert h.hexdigest() == RECORD_PINS[family]
+
+
 # --- diagnostics -----------------------------------------------------------
 
 
@@ -289,6 +320,35 @@ def test_run_convexity_loss_partial_trace():
     assert min(exc.value.r1, exc.value.r2) <= 0
     trace = exc.value.trace
     assert trace is not None and trace.status == "convexity_loss"
+    assert trace.records == []
+    assert trace.initial_min_support == bumpy_profile().s.min()
+
+
+def test_run_dt_halving_abort_keeps_every_record(monkeypatch):
+    cfg = FlowConfig("gauss_power", 2.0, a=2.0, b=1.0, n_nodes=33, record_every=1)
+    full = run(dataclasses.replace(cfg, max_steps=100))
+    assert full.status == "max_steps" and len(full.records) == 101
+    real = flowmod._midpoint
+    accepted = []
+
+    def midpoint_until_step_100(*args):
+        if len(accepted) == 100:
+            return None
+        out = real(*args)
+        if out is not None:
+            accepted.append(out)
+        return out
+
+    monkeypatch.setattr(flowmod, "_midpoint", midpoint_until_step_100)
+    with pytest.raises(ConvexityLossError) as exc:
+        run(cfg)
+    assert exc.value.node == -1  # the dt-halving abort
+    trace = exc.value.trace
+    assert trace.status == "convexity_loss" and trace.steps == 100
+    assert [hex_row(r.row()) for r in trace.records] == [
+        hex_row(r.row()) for r in full.records
+    ]
+    assert trace.initial_min_support == cfg.initial_profile().s.min()
 
 
 def test_run_rejects_profile_of_other_node_count():
@@ -299,19 +359,26 @@ def test_run_rejects_profile_of_other_node_count():
 
 @pytest.mark.parametrize("family", ["gauss_power", "mean_power", "norm_power", "sum_power"])
 def test_run_records_match_diagnostics(family):
-    cfg = FlowConfig(
-        family, 1.5, a=2.0, b=1.0, n_nodes=51, max_steps=20, record_every=1
-    )
-    speed = cfg.speed()
-    trace = run(cfg)
-    assert len(trace.records) == 21
-    checked = [c for c in TRACE_COLUMNS if c not in ("step", "t", "dt")]
-    for rec, profile in (
-        (trace.records[0], cfg.initial_profile()),
-        (trace.records[-1], trace.profile),
-    ):
-        want = diagnostics(profile, cfg.alpha, speed)
-        assert {c: getattr(rec, c) for c in checked} == {c: want[c] for c in checked}
+    # 150 steps span three record blocks; N = 201 runs the centre sum past
+    # numpy's 128-element pairwise block
+    for n_nodes in (51, 201):
+        cfg = FlowConfig(
+            family, 1.5, a=2.0, b=1.0, n_nodes=n_nodes, max_steps=150, record_every=1
+        )
+        speed = cfg.speed()
+        trace = run(cfg)
+        assert len(trace.records) == 151
+        p, dt = cfg.initial_profile(), 0.0
+        for n, rec in enumerate(trace.records):
+            if n:
+                dt = adaptive_dt(p, speed, cfg.safety)
+                p = step(p, speed, dt)
+            want = diagnostics(p, cfg.alpha, speed)
+            want.update(step=n, t=p.time, dt=dt)
+            assert hex_row(rec.row()) == hex_row(want[c] for c in TRACE_COLUMNS), (
+                n_nodes,
+                n,
+            )
 
 
 def test_run_times_strictly_increase():
