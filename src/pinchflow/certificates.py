@@ -101,22 +101,13 @@ class ThresholdResult:
         }
 
 
-def _as_speed(speed, alpha=None):
-    if isinstance(speed, SpeedFunction):
-        if alpha is None or alpha == speed.alpha:
-            return speed
-        return SpeedFunction(speed.family, alpha)
-    return SpeedFunction(speed, alpha)
-
-
 def log_ratio_grid(t_max=1e6, n=4096):
     """Log-spaced ratio grid on (1, t_max]: first node t_max^(1/n), last t_max."""
     return np.geomspace(t_max ** (1.0 / n), t_max, n)
 
 
-def sign_scan(speed, alpha=None, ratio_grid=None) -> QReport:
+def sign_scan(speed, ratio_grid=None) -> QReport:
     """Pointwise sign check of (Q1, Q2) at r = (1, t) over a finite grid."""
-    speed = _as_speed(speed, alpha)
     t = log_ratio_grid() if ratio_grid is None else np.asarray(ratio_grid, dtype=float)
     if t.size == 0 or not np.all(np.isfinite(t)) or not np.all(t > 1):
         raise DomainError("ratio grid must be finite and inside (1, inf)")
@@ -396,12 +387,12 @@ def _q_at(speed, t):
         return [float(q) for q in _power_sum_q(speed, mpf(t))]
 
 
-def certify_nonpositive(speed, alpha=None, t_max=1e6) -> QReport:
+def certify_nonpositive(family, alpha, t_max=1e6) -> QReport:
     """Exact sign verdict for (Q1, Q2) on the whole ray t > 1, tail included;
     a sum_power exponent whose sandwich numerators keep a positive
     coefficient up to q = SANDWICH_Q_MAX gets a sign scan on (1, t_max]
     instead: violated with a float witness, or inconclusive."""
-    speed = _as_speed(speed, alpha)
+    speed = SpeedFunction(family, alpha)
     if not t_max >= 2:
         raise DomainError(f"t_max must be >= 2, got {t_max}")
     if speed.family == "sum_power" and float(speed.alpha) > SUM_POWER_ALPHA_CAP:

@@ -62,8 +62,9 @@ def _load_config_file(path):
 
 
 def _coerce(entry, table):
-    """Convert each non-null value of `entry` to its table type; unknown keys
-    are rejected and null values dropped, so the library default applies."""
+    """Convert each non-null value of `entry` to its table type from its text,
+    as the flag's parser would, so true or 33.9 is no int; unknown keys are
+    rejected and null values dropped, so the library default applies."""
     coerced = {}
     for key, value in entry.items():
         if key not in table:
@@ -71,7 +72,7 @@ def _coerce(entry, table):
         if value is None:
             continue
         try:
-            coerced[key] = table[key](value)
+            coerced[key] = table[key](str(value))
         except (TypeError, ValueError):
             raise ConfigError(f"field {key!r}: cannot convert {value!r}")
     return coerced
@@ -199,15 +200,6 @@ def _flow_summary(trace):
     return summary
 
 
-def _write_flow_outputs(out, trace, summary):
-    reports.write_trace_csv(
-        os.path.join(out, "trace.csv"),
-        flowmod.TRACE_COLUMNS,
-        [r.row() for r in trace.records],
-    )
-    reports.write_report(os.path.join(out, "summary.json"), summary)
-
-
 def _run_flow(config, out):
     try:
         trace = flowmod.run(config)
@@ -217,7 +209,9 @@ def _run_flow(config, out):
         code = EXIT_NUMERIC
     summary = _flow_summary(trace)
     if out:
-        _write_flow_outputs(out, trace, summary)
+        path = os.path.join(out, "trace.csv")
+        reports.write_trace_csv(path, flowmod.TRACE_COLUMNS, trace.records)
+        reports.write_report(os.path.join(out, "summary.json"), summary)
     return code, summary
 
 

@@ -21,10 +21,12 @@ while no step is rejected.
 `_diagnose` is the one diagnostics kernel.  It takes the `_radii` arrays of
 one profile (1-d) or of a block of profiles (2-d, one per row) and reduces
 along axis=-1 only, so each row gets the bits of its profile on its own.
-`diagnostics` calls it for one profile.  `run` holds up to `_RECORD_BLOCK`
-pending records as references to the stepper's arrays, which are fresh every
-step, and builds them with one kernel call on the stacked block when the
-block is full, at the end of the run and before any partial trace.
+`diagnostics` calls it for one profile and adds the roundness ratio.  `run`
+holds up to `_RECORD_BLOCK` pending records as references to the stepper's
+arrays, which are fresh every step, and builds them with one kernel call on
+the stacked block when the block is full and once after its loop.  A record
+is a `FlowRecord` NamedTuple whose fields are the trace CSV's columns, so a
+record is its own CSV row from the kernel to the file.
 
 Grids are kept mirror-symmetric bit for bit: the cotangent table and the
 built-in initial profiles are constructed on the upper half and reflected,
@@ -34,6 +36,7 @@ flow (the acceptance checks rely on this).
 
 import math
 from dataclasses import asdict, dataclass, fields
+from typing import NamedTuple
 
 import numpy as np
 
@@ -263,7 +266,6 @@ def _diagnose(tables, d, s, r1, r2, diff, alpha, speed):
         "center_z": q,
         "circumradius": circum,
         "inradius": inrad,
-        "roundness": circum / inrad,
     }
     if speed is not None:
         beta = float(speed.alpha)
@@ -282,11 +284,13 @@ def diagnostics(profile, alpha, speed=None):
     th, d = profile.theta, profile.dtheta
     r1, r2, diff = _convex_radii(th, profile.s, d, _cot_table(th))
     out = _diagnose(_grid_tables(th), d, profile.s, r1, r2, diff, alpha, speed)
+    out["roundness"] = out["circumradius"] / out["inradius"]
     return {"alpha": float(alpha), **out}
 
 
-@dataclass(frozen=True)
-class FlowRecord:
+class FlowRecord(NamedTuple):
+    """One trace row; the fields are the trace CSV's columns, in order."""
+
     step: int
     t: float
     dt: float
@@ -301,11 +305,8 @@ class FlowRecord:
     min_abs_speed: float
     center_z: float
 
-    def row(self):
-        return tuple(getattr(self, c) for c in TRACE_COLUMNS)
 
-
-TRACE_COLUMNS = tuple(f.name for f in fields(FlowRecord))
+TRACE_COLUMNS = FlowRecord._fields
 
 
 @dataclass
@@ -373,7 +374,7 @@ def _flush(records, pending, tables, d, alpha, speed):
     n, t, dt, *arrays = zip(*pending)
     cols = _diagnose(tables, d, *map(np.stack, arrays), alpha, speed)
     cols.update(step=n, t=t, dt=dt)
-    records.extend(FlowRecord(*row) for row in zip(*(cols[c] for c in TRACE_COLUMNS)))
+    records.extend(map(FlowRecord._make, zip(*(cols[c] for c in TRACE_COLUMNS))))
     pending.clear()
 
 
@@ -381,11 +382,17 @@ def run(config: FlowConfig, profile=None) -> FlowTrace:
     """Integrate until the minimum support drops below stop_fraction of its
     initial value (or max_steps).  Each step starts from the `adaptive_dt`
     cap and takes the `step` midpoint update through the same kernels,
-    halving dt on rejection; a rejection that survives eight halvings aborts
-    with the partial trace attached to the exception.  The loop carries bare
-    arrays, since a SupportProfile per step would re-validate the grid; the
-    arrays `_midpoint` returns feed both the next step and the records.  A
-    given `profile` must have `config.n_nodes` nodes.
+    halving dt on rejection.  The loop carries bare arrays, since a
+    SupportProfile per step would re-validate the grid; the arrays
+    `_midpoint` returns feed both the next step and the records, which are
+    rows of the trace CSV.  A given `profile` must have `config.n_nodes`
+    nodes.
+
+    There is one exit.  A nonconvex initial profile, or a rejection that
+    survives eight halvings, ends the loop with status "convexity_loss";
+    either way the last records are built and the one FlowTrace is made,
+    then a convexity loss is raised with that trace attached as
+    `error.trace`, and any other status goes on to the extinction fit.
     """
     alpha = float(config.alpha)
     fam = config.family
@@ -409,13 +416,13 @@ def run(config: FlowConfig, profile=None) -> FlowTrace:
     s = profile.s
     s0_min = float(s.min())
     target = config.stop_fraction * s0_min
+    status = error = None
     try:
         r1, r2, diff = _convex_radii(theta, s, d, cot)
     except ConvexityLossError as err:
-        err.trace = _partial(config, records, n, t, profile, s0_min)
-        raise
-    pending.append((n, t, dt, s, r1, r2, diff))
-    status = None
+        status, error = "convexity_loss", err
+    else:
+        pending.append((n, t, dt, s, r1, r2, diff))
     while status is None:
         rate0, cap = _rate_and_cap(fam, alpha, r1, r2)
         dt = config.safety * (d * d) / cap
@@ -425,13 +432,11 @@ def run(config: FlowConfig, profile=None) -> FlowTrace:
                 break
             dt *= 0.5
         else:
-            err = ConvexityLossError(
+            status = "convexity_loss"
+            error = ConvexityLossError(
                 f"convexity lost at t={t:.6e} despite dt halving", node=-1
             )
-            _flush(records, pending, tables, d, alpha, speed)
-            final = SupportProfile(theta, s, t)
-            err.trace = _partial(config, records, n, t, final, s0_min)
-            raise err
+            break
         s, r1, r2, diff = out
         t += dt
         n += 1
@@ -454,6 +459,9 @@ def run(config: FlowConfig, profile=None) -> FlowTrace:
         profile=final,
         initial_min_support=s0_min,
     )
+    if error is not None:
+        error.trace = trace
+        raise error
     if status == "extinct_fraction":
         est = extinction_estimate(trace)
         trace.t_extinct = est.t_extinct
@@ -464,18 +472,6 @@ def run(config: FlowConfig, profile=None) -> FlowTrace:
                 final, est.t_extinct, t, alpha, q=est.center_z
             )
     return trace
-
-
-def _partial(config, records, n, t, profile, s0_min):
-    return FlowTrace(
-        config=config,
-        records=list(records),
-        status="convexity_loss",
-        steps=n,
-        t_final=t,
-        profile=profile,
-        initial_min_support=s0_min,
-    )
 
 
 def sphere_radius_law(rho0, alpha, t):

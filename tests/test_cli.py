@@ -1,6 +1,5 @@
 """Command-line behavior: exit codes, determinism, config validation."""
 
-import dataclasses
 import hashlib
 import json
 import os
@@ -10,7 +9,6 @@ import sys
 import pytest
 
 from pinchflow import cli, pinching, speeds
-from pinchflow.errors import ConvexityLossError
 from pinchflow.reports import strip_timestamp
 
 
@@ -134,9 +132,14 @@ def test_q_sign_config_file(tmp_path):
     assert exc.value.code == 2
 
 
-# sha256 of the timestamp-stripped gauss_power reports, as written before the
-# other families moved to exact numerators; that change must not move them
-GAUSS_REPORT_SHA256 = [
+# sha256 of report files, JSON with its timestamp stripped: the gauss_power
+# reports as written before the other families moved to exact numerators, and
+# a flow's summary and every-step trace as written before flow records became
+# NamedTuple rows; neither change may move them
+FLOW_ARGV = ("flow", "--family", "mean_power", "--alpha", "1.5", "--a", "2") + (
+    "--b", "1", "--n-nodes", "33", "--stop-fraction", "0.2", "--record-every", "1"
+)
+REPORT_SHA256 = [
     (
         ("q-sign", "--family", "gauss_power", "--alpha", "1.5"),
         "qsign.json",
@@ -163,29 +166,48 @@ GAUSS_REPORT_SHA256 = [
         "threshold.json",
         "230cfceedad97713106c7d79ba91d329704b5d8477d119131ad36ab2e84d2fd5",
     ),
+    (
+        FLOW_ARGV,
+        "summary.json",
+        "4ca1bb9c6fe3ffe9361c420dcdc945468aa706e892f137303a022d753a502c68",
+    ),
+    (
+        FLOW_ARGV,
+        "trace.csv",
+        "23b9052c77394a215e4318aa7c82a80aa11ec71591ff0aa3ae5b04c6e8f9dec1",
+    ),
 ]
 
 
-@pytest.mark.parametrize("argv, name, digest", GAUSS_REPORT_SHA256)
+@pytest.mark.parametrize("argv, name, digest", REPORT_SHA256)
 def test_gauss_report_bytes_pinned(tmp_path, argv, name, digest):
     invoke(*argv, "--out", str(tmp_path))
-    text = strip_timestamp((tmp_path / name).read_text())
+    text = (tmp_path / name).read_text()
+    if name.endswith(".json"):
+        text = strip_timestamp(text)
     assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 # --- config files ------------------------------------------------------------
 
-# per command: a config carrying its fields, and the field it gives as a
-# numeric string
+# per command: a config carrying its fields, the field it gives as a numeric
+# string, and values its flags' text would not convert: booleans, and
+# non-integral numbers for int fields
 CONFIG_CASES = {
     "threshold": (
         {"family": "gauss_power", "alpha_lo": "1.5", "alpha_hi": 3.0, "tol": 0.05},
         "alpha_lo",
+        {"alpha_hi": True, "tol": False},
     ),
-    "verify-identities": ({"draws": "200", "seed": 0}, "draws"),
+    "verify-identities": (
+        {"draws": "200", "seed": 0},
+        "draws",
+        {"draws": 2.5, "seed": True},
+    ),
     "flow": (
         {"family": "gauss_power", "alpha": 2.0, "n_nodes": "33", "stop_fraction": 0.2},
         "n_nodes",
+        {"n_nodes": 33.9, "max_steps": 5.7, "alpha": True, "record_every": 1.0},
     ),
 }
 
@@ -199,7 +221,7 @@ def stripped_reports(out):
 
 @pytest.mark.parametrize("command", sorted(CONFIG_CASES))
 def test_config_file_matches_flags(tmp_path, capsys, command):
-    doc, string_key = CONFIG_CASES[command]
+    doc, string_key, unconvertible = CONFIG_CASES[command]
     flags = [
         arg
         for key, value in doc.items()
@@ -218,6 +240,10 @@ def test_config_file_matches_flags(tmp_path, capsys, command):
     assert invoke(command, "--config", str(cfg), "--out", str(bad)) == 2
     cfg.write_text(json.dumps({**doc, string_key: "not a number"}))
     assert invoke(command, "--config", str(cfg), "--out", str(bad)) == 2
+    for key, value in unconvertible.items():
+        cfg.write_text(json.dumps({**doc, key: value}))
+        assert invoke(command, "--config", str(cfg), "--out", str(bad)) == 2, key
+        assert f"field {key!r}" in capsys.readouterr().err
     assert not bad.exists()
 
 
@@ -312,38 +338,39 @@ def test_flow_invalid_config_no_partial_output(tmp_path):
 
 
 def test_flow_convexity_loss_exit_and_partial_trace(tmp_path, monkeypatch):
-    small = cli.flowmod.FlowConfig("gauss_power", 2.0, n_nodes=101, record_every=500)
-    trace = cli.flowmod.run(small)
-    partial = dataclasses.replace(
-        trace,
-        status="convexity_loss",
-        t_extinct=None,
-        extinction_center=None,
-        extinction_low_confidence=None,
-        deviation=None,
-    )
+    # the real dt-halving abort: every midpoint step fails from step 100 on
+    real = cli.flowmod._midpoint
+    accepted = []
 
-    def explode(config, profile=None):
-        err = ConvexityLossError("synthetic loss", node=3)
-        err.trace = partial
-        raise err
+    def midpoint_until_step_100(*args):
+        if len(accepted) == 100:
+            return None
+        out = real(*args)
+        if out is not None:
+            accepted.append(out)
+        return out
 
-    monkeypatch.setattr(cli.flowmod, "run", explode)
+    monkeypatch.setattr(cli.flowmod, "_midpoint", midpoint_until_step_100)
     code = invoke(
         "flow",
         "--family",
         "gauss_power",
         "--alpha",
         "2",
+        "--a",
+        "2",
         "--n-nodes",
-        "101",
+        "33",
+        "--record-every",
+        "1",
         "--out",
         str(tmp_path),
     )
     assert code == 3
     doc = json.loads((tmp_path / "summary.json").read_text())
-    assert doc["status"] == "convexity_loss"
-    assert (tmp_path / "trace.csv").exists()
+    assert doc["status"] == "convexity_loss" and doc["steps"] == 100
+    lines = (tmp_path / "trace.csv").read_text().splitlines()
+    assert len(lines) == 1 + doc["steps"] + 1  # header, steps 0 to 100
 
 
 # --- sweep -------------------------------------------------------------------

@@ -228,7 +228,7 @@ def test_run_record_bytes_pinned(family):
     assert len(trace.records) == HOT_LOOP_PINS[family][0] + 1
     h = hashlib.sha256()
     for rec in trace.records:
-        h.update((",".join(hex_row(rec.row())) + "\n").encode())
+        h.update((",".join(hex_row(rec)) + "\n").encode())
     assert h.hexdigest() == RECORD_PINS[family]
 
 
@@ -345,8 +345,8 @@ def test_run_dt_halving_abort_keeps_every_record(monkeypatch):
     assert exc.value.node == -1  # the dt-halving abort
     trace = exc.value.trace
     assert trace.status == "convexity_loss" and trace.steps == 100
-    assert [hex_row(r.row()) for r in trace.records] == [
-        hex_row(r.row()) for r in full.records
+    assert [hex_row(r) for r in trace.records] == [
+        hex_row(r) for r in full.records
     ]
     assert trace.initial_min_support == cfg.initial_profile().s.min()
 
@@ -375,7 +375,7 @@ def test_run_records_match_diagnostics(family):
                 p = step(p, speed, dt)
             want = diagnostics(p, cfg.alpha, speed)
             want.update(step=n, t=p.time, dt=dt)
-            assert hex_row(rec.row()) == hex_row(want[c] for c in TRACE_COLUMNS), (
+            assert hex_row(rec) == hex_row(want[c] for c in TRACE_COLUMNS), (
                 n_nodes,
                 n,
             )
