@@ -16,7 +16,7 @@ finds a float witness or the verdict is inconclusive.
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import partial
-from math import floor, lcm
+from math import floor, isfinite, lcm
 from typing import Optional
 
 import numpy as np
@@ -393,8 +393,8 @@ def certify_nonpositive(family, alpha, t_max=1e6) -> QReport:
     coefficient up to q = SANDWICH_Q_MAX gets a sign scan on (1, t_max]
     instead: violated with a float witness, or inconclusive."""
     speed = SpeedFunction(family, alpha)
-    if not t_max >= 2:
-        raise DomainError(f"t_max must be >= 2, got {t_max}")
+    if not (t_max >= 2 and isfinite(t_max)):
+        raise DomainError(f"t_max must be finite and >= 2, got {t_max}")
     if speed.family == "sum_power" and float(speed.alpha) > SUM_POWER_ALPHA_CAP:
         raise DomainError(
             f"sum_power certification is capped at alpha <= {SUM_POWER_ALPHA_CAP}"

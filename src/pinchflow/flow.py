@@ -5,13 +5,21 @@ principal radii split into a meridian radius s'' + s and a rotational radius
 cot(theta) s' + s; both collapse to s'' + s at the axis, which the even
 ghost-node reflection supplies without one-sided stencils.  That stencil
 lives in one function, `_radii`; `run` calls it once at the start and once
-per accepted step (inside `_midpoint`), and its records reuse those arrays.
+per stage of every step (inside `_rkc`), and its records reuse the arrays
+of each step's last stage.
 
-Time stepping is explicit midpoint with a parabolic CFL cap, halving on
-convexity rejection.  Two array kernels make up the stepper: `_rate_and_cap`
-(the rate -k^(-alpha) and the cap) and `_midpoint` (one step, or a
-rejection).  They ask `speeds._k_derivs` for no more than they read:
-`_rate_and_cap` for order 1 (k, k1, k2), `_midpoint` and `_diagnose`'s
+Time stepping is the damped second-order Runge-Kutta-Chebyshev method
+(Sommeijer, Shampine & Verwer, J. Comput. Appl. Math. 88, 1998): explicit
+stages only, with a stability interval that grows as the square of the
+stage count, so the step follows accuracy rather than the parabolic limit.
+Three kernels make up the stepper.  `_rate_and_cap` gives the rate
+-k^(-alpha) and the cap max(df1 + df2) at the start of a step;
+`_step_dt` turns them into the step, a fixed fraction `_EPS` of the
+remaining shrinking-sphere lifetime but never less than the explicit
+parabolic step safety * dtheta^2 / cap; `_rkc` takes the step in as many
+stages as `_stage_count` asks for, or rejects it (the caller halves dt).
+They ask `speeds._k_derivs` for no more than they read: `_rate_and_cap`
+for order 1 (k, k1, k2), `_rkc`'s stage rates and `_diagnose`'s
 min |speed| for order 0 (k alone), so no second derivative is formed per
 step.  `run` loops over them on bare arrays; `step` and `adaptive_dt`
 wrap the same kernels for one SupportProfile, so iterating
@@ -30,10 +38,13 @@ record is its own CSV row from the kernel to the file.
 
 Grids are kept mirror-symmetric bit for bit: the cotangent table and the
 built-in initial profiles are constructed on the upper half and reflected,
-so an equator-symmetric initial profile stays exactly symmetric under the
-flow (the acceptance checks rely on this).
+`_radii` adds the two neighbours of a node before anything else (addition
+commutes exactly, so mirrored nodes round alike), and every other update is
+elementwise or a scalar reduction.  So an equator-symmetric initial profile
+stays exactly symmetric under the flow (the acceptance checks rely on this).
 """
 
+import functools
 import math
 from dataclasses import asdict, dataclass, fields
 from typing import NamedTuple
@@ -51,6 +62,25 @@ from .speeds import SpeedFunction, _k_derivs
 # Records wait in `run` until this many are pending; one `_diagnose` call
 # then builds the whole block.
 _RECORD_BLOCK = 64
+
+# A step advances this fraction of the smallest remaining shrinking-sphere
+# lifetime over the nodes, unless the explicit parabolic step is longer
+# (`_step_dt`).
+_EPS = 0.003
+
+# Damping of the RKC stability polynomial: inside the stability interval
+# |R| stays below about 1 - damping / 3 instead of touching 1 at every
+# Chebyshev extremum, which leaves room for eigenvalues just off the axis.
+_DAMPING = 2.0 / 13.0
+
+# The most stages a step may take.  A longer step is rejected like one that
+# loses convexity (the caller halves dt), so no dt buys unbounded work.
+_MAX_STAGES = 1000
+
+
+def _positive(x):
+    """x > 0 and finite (inf > 0 holds, and would pass a bare comparison)."""
+    return x > 0 and math.isfinite(x)
 
 
 def _make_grid(n_nodes):
@@ -104,8 +134,8 @@ class RadiiField:
 
 
 def sphere_support(radius, n_nodes=201):
-    if not radius > 0:
-        raise DomainError("radius must be positive")
+    if not _positive(radius):
+        raise DomainError(f"radius must be finite and positive, got {radius}")
     theta = _make_grid(n_nodes)
     return SupportProfile(theta, np.full(n_nodes, float(radius)))
 
@@ -114,8 +144,8 @@ def ellipsoid_support(a, b, n_nodes=201):
     """Support function of the spheroid with semi-axis a along the symmetry
     axis and b across it: s^2 = a^2 cos^2 + b^2 sin^2.  Built on the upper
     half and mirrored so the profile is exactly equator-symmetric."""
-    if not (a > 0 and b > 0):
-        raise DomainError("semi-axes must be positive")
+    if not (_positive(a) and _positive(b)):
+        raise DomainError(f"semi-axes must be finite and positive, got ({a}, {b})")
     theta = _make_grid(n_nodes)
     h = n_nodes // 2
     cos2 = np.cos(theta[: h + 1]) ** 2
@@ -134,7 +164,9 @@ def _radii(s, d, cot):
     sp[0] = s[1]  # even reflection across each pole
     sp[-1] = s[-2]
     diff = sp[2:] - sp[:-2]
-    r1 = (sp[2:] - 2.0 * s + sp[:-2]) / (d * d) + s
+    # the neighbours' sum first: it commutes bit for bit, so the stencil is
+    # the same at mirrored nodes
+    r1 = ((sp[2:] + sp[:-2]) - 2.0 * s) / (d * d) + s
     r2 = cot * diff / (2.0 * d) + s
     r2[0] = r1[0]
     r2[-1] = r1[-1]
@@ -162,29 +194,83 @@ def _convex_radii(theta, s, d, cot):
 
 
 def _rate_and_cap(family, alpha, r1, r2):
-    """ds/dt = -k^(-alpha) and the parabolic CFL cap max(df1 + df2), where
-    df_i = alpha k^-(1+alpha) dk_i is the linearization's diffusion trace.
-    Needs k and its first derivatives only: `_k_derivs` at order 1."""
+    """ds/dt = -k^(-alpha) and the cap max(df1 + df2), where
+    df_i = alpha k^-(1+alpha) dk_i is the linearization's diffusion trace;
+    the cap sizes both the step's floor and its stage count.  Needs k and
+    its first derivatives only: `_k_derivs` at order 1."""
     k, k1, k2 = _k_derivs(family, alpha, r1, r2, order=1)
     a = k ** (-(1.0 + alpha))
     return -(a * k), float(np.maximum.reduce(alpha * a * (k1 + k2)))
 
 
-def _midpoint(family, alpha, s, rate0, dt, d, cot):
-    """One explicit midpoint step from s, whose rate is rate0.  Returns the
-    new (s, r1, r2, diff) as `_radii` gives them, or None when the midpoint
-    loses convexity or the result loses convexity or positivity (the caller
-    halves dt).  The midpoint rate needs k only: `_k_derivs` at order 0."""
-    s_mid = s + (0.5 * dt) * rate0
-    rm1, rm2, _ = _radii(s_mid, d, cot)
-    if not _convex(rm1, rm2):
+def _step_dt(s, rate0, cap, d, alpha, safety):
+    """The step from s, whose rate is rate0: _EPS / (alpha + 1) times the
+    smallest s / |ds/dt| over the nodes, which on a sphere is _EPS times its
+    remaining lifetime, but never less than the explicit parabolic step
+    safety * d^2 / cap, so a coarse grid takes no more steps than that."""
+    lifetime = -float(np.maximum.reduce(s / rate0)) / (alpha + 1.0)
+    return max(_EPS * lifetime, safety * (d * d) / cap)
+
+
+def _stage_count(dt, cap, d):
+    """RKC stages for a step of dt: the damped stability interval, about
+    0.653 n^2, must hold dt * rho, where rho = (4 / d^2 + 1) cap bounds the
+    spectral radius of the tridiagonal Jacobian (Gershgorin's rows).  A step
+    that needs more than _MAX_STAGES gets _MAX_STAGES + 1."""
+    rho = (4.0 / (d * d) + 1.0) * cap
+    return max(2, 1 + int(math.sqrt(min(1.54 * dt * rho + 1.0, _MAX_STAGES**2))))
+
+
+@functools.lru_cache(maxsize=None)
+def _rkc_coefficients(n_stages):
+    """mu~_1 and one (mu_j, nu_j, mu~_j, gamma~_j) per stage j = 2..n of the
+    damped second-order RKC method, from the Chebyshev recurrences for T_j,
+    T_j' and T_j'' at w0 = 1 + damping / n^2, with b_0 = b_1 = b_2."""
+    w0 = 1.0 + _DAMPING / (n_stages * n_stages)
+    t, t1, t2 = [1.0, w0], [0.0, 1.0], [0.0, 0.0]
+    for j in range(2, n_stages + 1):
+        t.append(2.0 * w0 * t[j - 1] - t[j - 2])
+        t1.append(2.0 * t[j - 1] + 2.0 * w0 * t1[j - 1] - t1[j - 2])
+        t2.append(4.0 * t1[j - 1] + 2.0 * w0 * t2[j - 1] - t2[j - 2])
+    w1 = t1[n_stages] / t2[n_stages]
+    b = [t2[j] / (t1[j] * t1[j]) for j in range(2, n_stages + 1)]
+    b = [b[0], b[0]] + b
+    stages = []
+    for j in range(2, n_stages + 1):
+        mu = 2.0 * w0 * b[j] / b[j - 1]
+        mu_t = 2.0 * w1 * b[j] / b[j - 1]
+        gamma_t = -(1.0 - b[j - 1] * t[j - 1]) * mu_t
+        stages.append((mu, -b[j] / b[j - 2], mu_t, gamma_t))
+    return b[1] * w1, tuple(stages)
+
+
+def _rkc(family, alpha, s, rate0, dt, n_stages, d, cot):
+    """One RKC step of dt in n_stages stages from s, whose rate is rate0.
+    Returns the new (s, r1, r2, diff) as `_radii` gives them, or None when
+    a stage loses convexity or the result loses convexity or positivity
+    (the caller halves dt), and when n_stages exceeds _MAX_STAGES.  Stage
+    rates need k only: `_k_derivs` at order 0."""
+    if n_stages > _MAX_STAGES:
         return None
-    k_mid = _k_derivs(family, alpha, rm1, rm2, order=0)
-    s_new = s + dt * (-(k_mid ** (-alpha)))
-    r1, r2, diff = _radii(s_new, d, cot)
-    if not _convex(r1, r2) or np.minimum.reduce(s_new) <= 0:
+    mu_t1, stages = _rkc_coefficients(n_stages)
+    y_prev, y = s, s + (mu_t1 * dt) * rate0
+    for mu, nu, mu_t, gamma_t in stages:
+        r1, r2, _ = _radii(y, d, cot)
+        if not _convex(r1, r2):
+            return None
+        k = _k_derivs(family, alpha, r1, r2, order=0)
+        # the stage rate is -k^(-alpha), so its term is subtracted
+        y_prev, y = y, (
+            (1.0 - mu - nu) * s
+            + mu * y
+            + nu * y_prev
+            + (gamma_t * dt) * rate0
+            - (mu_t * dt) * k ** (-alpha)
+        )
+    r1, r2, diff = _radii(y, d, cot)
+    if not _convex(r1, r2) or np.minimum.reduce(y) <= 0:
         return None
-    return s_new, r1, r2, diff
+    return y, r1, r2, diff
 
 
 def radii_from_support(profile) -> RadiiField:
@@ -196,9 +282,10 @@ def radii_from_support(profile) -> RadiiField:
 
 
 def step(profile, speed, dt) -> SupportProfile:
-    """One explicit midpoint step, the one `run` takes.  dt = 0 returns a
-    copy; negative/non-finite dt, or a step that loses positivity or
-    convexity, is rejected (the caller halves dt)."""
+    """One RKC step of dt, the one `run` takes, in the stage count
+    `_stage_count` gives for dt.  dt = 0 returns a copy; negative/non-finite
+    dt, or a step that loses positivity or convexity, is rejected (the
+    caller halves dt)."""
     if not (math.isfinite(dt) and dt >= 0):
         raise StepRejectedError(f"bad time step {dt}")
     if dt == 0.0:
@@ -209,8 +296,9 @@ def step(profile, speed, dt) -> SupportProfile:
     r1, r2, _ = _radii(profile.s, d, cot)
     out = None
     if _convex(r1, r2):
-        rate0 = _rate_and_cap(family, alpha, r1, r2)[0]
-        out = _midpoint(family, alpha, profile.s, rate0, dt, d, cot)
+        rate0, cap = _rate_and_cap(family, alpha, r1, r2)
+        n_stages = _stage_count(dt, cap, d)
+        out = _rkc(family, alpha, profile.s, rate0, dt, n_stages, d, cot)
     if out is None:
         raise StepRejectedError(
             f"step to t={t_new} rejected: convexity or positivity lost"
@@ -219,13 +307,14 @@ def step(profile, speed, dt) -> SupportProfile:
 
 
 def adaptive_dt(profile, speed, safety=0.25):
-    """The time step `run` starts from: safety * dtheta^2 / max(df1 + df2)."""
+    """The time step `run` starts from (`_step_dt`): _EPS of the remaining
+    shrinking-sphere lifetime, floored at safety * dtheta^2 / max(df1 + df2)."""
     if not 0 < safety <= 0.5:
         raise DomainError("safety must lie in (0, 0.5]")
     rf = radii_from_support(profile)
-    d = profile.dtheta
-    cap = _rate_and_cap(speed.family, float(speed.alpha), rf.r1, rf.r2)[1]
-    return float(safety * (d * d) / cap)
+    alpha = float(speed.alpha)
+    rate0, cap = _rate_and_cap(speed.family, alpha, rf.r1, rf.r2)
+    return _step_dt(profile.s, rate0, cap, profile.dtheta, alpha, safety)
 
 
 def _grid_tables(theta):
@@ -324,8 +413,12 @@ class FlowConfig:
     def __post_init__(self):
         SpeedFunction(self.family, self.alpha)  # validates family/alpha
         _make_grid(self.n_nodes)  # validates the node count
-        if not self.a > 0 or not self.b > 0:
-            raise DomainError("semi-axes a, b must be positive")
+        for name in ("a", "b"):
+            value = getattr(self, name)
+            if not _positive(value):
+                raise DomainError(
+                    f"semi-axis {name} must be finite and positive, got {value}"
+                )
         if not 0 < self.safety <= 0.5:
             raise DomainError("safety must lie in (0, 0.5]")
         if not 0 < self.stop_fraction <= 0.2:
@@ -346,6 +439,8 @@ class FlowTrace:
     records: list
     status: str  # extinct_fraction | max_steps | convexity_loss
     steps: int
+    stages: int  # RKC stage counts (rate evaluations) of every attempted step
+    rejected: int  # attempts rejected, each followed by a dt halving
     t_final: float
     profile: SupportProfile
     initial_min_support: float
@@ -381,10 +476,10 @@ def _flush(records, pending, tables, d, alpha, speed):
 def run(config: FlowConfig, profile=None) -> FlowTrace:
     """Integrate until the minimum support drops below stop_fraction of its
     initial value (or max_steps).  Each step starts from the `adaptive_dt`
-    cap and takes the `step` midpoint update through the same kernels,
-    halving dt on rejection.  The loop carries bare arrays, since a
-    SupportProfile per step would re-validate the grid; the arrays
-    `_midpoint` returns feed both the next step and the records, which are
+    step and takes the `step` RKC update through the same kernels, halving
+    dt (and so recounting stages) on rejection.  The loop carries bare
+    arrays, since a SupportProfile per step would re-validate the grid; the
+    arrays `_rkc` returns feed both the next step and the records, which are
     rows of the trace CSV.  A given `profile` must have `config.n_nodes`
     nodes.
 
@@ -411,7 +506,7 @@ def run(config: FlowConfig, profile=None) -> FlowTrace:
     records = []
     pending = []  # (n, t, dt, s, r1, r2, diff) of records not yet built
     t = 0.0
-    n = 0
+    n = stages = rejected = 0
     dt = 0.0
     s = profile.s
     s0_min = float(s.min())
@@ -425,11 +520,14 @@ def run(config: FlowConfig, profile=None) -> FlowTrace:
         pending.append((n, t, dt, s, r1, r2, diff))
     while status is None:
         rate0, cap = _rate_and_cap(fam, alpha, r1, r2)
-        dt = config.safety * (d * d) / cap
+        dt = _step_dt(s, rate0, cap, d, alpha, config.safety)
         for _ in range(8):
-            out = _midpoint(fam, alpha, s, rate0, dt, d, cot)
+            n_stages = _stage_count(dt, cap, d)
+            stages += n_stages
+            out = _rkc(fam, alpha, s, rate0, dt, n_stages, d, cot)
             if out is not None:
                 break
+            rejected += 1
             dt *= 0.5
         else:
             status = "convexity_loss"
@@ -455,6 +553,8 @@ def run(config: FlowConfig, profile=None) -> FlowTrace:
         records=records,
         status=status,
         steps=n,
+        stages=stages,
+        rejected=rejected,
         t_final=t,
         profile=final,
         initial_min_support=s0_min,

@@ -8,6 +8,7 @@ kappa1^alpha + kappa2^alpha) are recorded in the family table below; all
 computations happen in radii.
 """
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Real
@@ -45,8 +46,8 @@ class SpeedFunction:
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise DomainError(f"unknown family {self.family!r}, expected one of {FAMILIES}")
-        if not self.alpha > 0:
-            raise DomainError(f"alpha must be positive, got {self.alpha}")
+        if not (self.alpha > 0 and math.isfinite(self.alpha)):
+            raise DomainError(f"alpha must be finite and positive, got {self.alpha}")
 
 
 class KDerivs(NamedTuple):
@@ -70,9 +71,10 @@ class FDerivs(NamedTuple):
 def _k_derivs(family, alpha, r1, r2, order=2):
     """k and its radii-derivatives up to `order`, closed form per family.
 
-    order 0 gives k alone (the flow's midpoint rate and `min_abs_speed`,
-    `eval_f`), order 1 gives (k, k1, k2) (the flow's step rate and CFL
-    cap), and order 2, the default, gives (k, k1, k2, k11, k12, k22).  Each expression is
+    order 0 gives k alone (the flow's RKC stage rates, `min_abs_speed` and
+    `eval_f`), order 1 gives (k, k1, k2) (the flow's rate at the start of a
+    step and the cap that sets its step floor and stage count), and order 2,
+    the default, gives (k, k1, k2, k11, k12, k22).  Each expression is
     written once and a lower order returns before the higher ones, so every
     order yields the same bits as the matching prefix of order 2.
     """

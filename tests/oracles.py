@@ -105,9 +105,29 @@ def sphere_time_oracle(rho0, alpha):
     return rho0 ** (alpha + 1.0) / (alpha + 1.0)
 
 
-def dt_oracle(n_nodes, safety, fdot_sum_max):
-    dtheta = math.pi / (n_nodes - 1)
+def cfl_dt(dtheta, safety, fdot_sum_max):
+    """The explicit parabolic step safety * dtheta^2 / max(fdot1 + fdot2)."""
     return safety * dtheta * dtheta / fdot_sum_max
+
+
+def reference_flow(profile, speed, t_end, safety=0.25):
+    """Explicit midpoint steps at the CFL step, clipped to land on t_end:
+    the slow reference for the flow's stepper.  It shares the package's
+    stencil and cap, so only the time integration differs; the rates come
+    from `speed_value`.  Returns (s, t)."""
+    from pinchflow.flow import _cot_table, _radii, _rate_and_cap
+
+    fam, alpha = speed.family, float(speed.alpha)
+    d, cot = profile.dtheta, _cot_table(profile.theta)
+    s, t = profile.s, profile.time
+    while t < t_end:
+        r1, r2, _ = _radii(s, d, cot)
+        rate0, cap = _rate_and_cap(fam, alpha, r1, r2)
+        dt = min(cfl_dt(d, safety, cap), t_end - t)
+        rm1, rm2, _ = _radii(s + (0.5 * dt) * rate0, d, cot)
+        s = s + dt * speed_value(fam, alpha, rm1, rm2)
+        t = t + dt
+    return s, t
 
 
 def numerator_coeffs_oracle(alpha):

@@ -171,8 +171,9 @@ def test_certify_sum_power_and_cap():
 
 
 def test_certify_validates_t_max():
-    with pytest.raises(DomainError):
-        certify_nonpositive("gauss_power", alpha=1.0, t_max=1.5)
+    for t_max in (1.5, float("inf")):
+        with pytest.raises(DomainError):
+            certify_nonpositive("gauss_power", alpha=1.0, t_max=t_max)
 
 
 def test_report_shape_and_serialization():

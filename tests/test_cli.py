@@ -80,6 +80,10 @@ def test_q_sign_exit_codes(tmp_path):
         invoke("q-sign", "--family", "gauss_power", "--alpha", "2.0", "--t-max", "1.2")
         == 2
     )
+    assert (
+        invoke("q-sign", "--family", "gauss_power", "--alpha", "2.0", "--t-max", "inf")
+        == 2
+    )
 
 
 def test_q_sign_report_file(tmp_path):
@@ -134,8 +138,7 @@ def test_q_sign_config_file(tmp_path):
 
 # sha256 of report files, JSON with its timestamp stripped: the gauss_power
 # reports as written before the other families moved to exact numerators, and
-# a flow's summary and every-step trace as written before flow records became
-# NamedTuple rows; neither change may move them
+# a flow's summary and every-step trace as the RKC stepper writes them
 FLOW_ARGV = ("flow", "--family", "mean_power", "--alpha", "1.5", "--a", "2") + (
     "--b", "1", "--n-nodes", "33", "--stop-fraction", "0.2", "--record-every", "1"
 )
@@ -169,12 +172,12 @@ REPORT_SHA256 = [
     (
         FLOW_ARGV,
         "summary.json",
-        "4ca1bb9c6fe3ffe9361c420dcdc945468aa706e892f137303a022d753a502c68",
+        "d32fbd7a57216c91ae5f5cfb04a214486006f19888c9bf11378531c7c7532a11",
     ),
     (
         FLOW_ARGV,
         "trace.csv",
-        "23b9052c77394a215e4318aa7c82a80aa11ec71591ff0aa3ae5b04c6e8f9dec1",
+        "cd1f59e408c3c2451aa120fd24e9967d18431678fcee9ee308a5ab3054dd06c5",
     ),
 ]
 
@@ -314,6 +317,7 @@ def test_flow_sphere_summary(tmp_path, capsys):
     assert doc["status"] == "extinct_fraction"
     assert doc["t_extinct"] == pytest.approx(1.0 / 3.0, abs=1e-3)
     assert doc["sphere_t_exact"] == pytest.approx(1.0 / 3.0)
+    assert doc["rejected"] == 0 and doc["stages"] >= 2 * doc["steps"]
     assert all(doc["monotonicity"]["monotone"].values())
     lines = (tmp_path / "trace.csv").read_text().splitlines()
     assert lines[0].startswith("step,t,dt,min_support")
@@ -337,12 +341,25 @@ def test_flow_invalid_config_no_partial_output(tmp_path):
     assert not out.exists()
 
 
+def test_flow_rejects_infinite_semi_axes(tmp_path, capsys):
+    out = tmp_path / "never"
+    argv = ("flow", "--family", "gauss_power", "--alpha", "2", "--n-nodes", "33")
+    assert invoke(*argv, "--b", "inf", "--out", str(out)) == 2
+    assert "semi-axis b must be finite" in capsys.readouterr().err
+    cfg = tmp_path / "cfg.json"
+    # JSON reads a number beyond the float range as inf
+    cfg.write_text('{"family": "gauss_power", "alpha": 2, "n_nodes": 33, "a": 1e400}')
+    assert invoke("flow", "--config", str(cfg), "--out", str(out)) == 2
+    assert "semi-axis a must be finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_flow_convexity_loss_exit_and_partial_trace(tmp_path, monkeypatch):
-    # the real dt-halving abort: every midpoint step fails from step 100 on
-    real = cli.flowmod._midpoint
+    # the real dt-halving abort: every RKC step fails from step 100 on
+    real = cli.flowmod._rkc
     accepted = []
 
-    def midpoint_until_step_100(*args):
+    def rkc_until_step_100(*args):
         if len(accepted) == 100:
             return None
         out = real(*args)
@@ -350,7 +367,7 @@ def test_flow_convexity_loss_exit_and_partial_trace(tmp_path, monkeypatch):
             accepted.append(out)
         return out
 
-    monkeypatch.setattr(cli.flowmod, "_midpoint", midpoint_until_step_100)
+    monkeypatch.setattr(cli.flowmod, "_rkc", rkc_until_step_100)
     code = invoke(
         "flow",
         "--family",
@@ -369,6 +386,7 @@ def test_flow_convexity_loss_exit_and_partial_trace(tmp_path, monkeypatch):
     assert code == 3
     doc = json.loads((tmp_path / "summary.json").read_text())
     assert doc["status"] == "convexity_loss" and doc["steps"] == 100
+    assert doc["rejected"] == 8
     lines = (tmp_path / "trace.csv").read_text().splitlines()
     assert len(lines) == 1 + doc["steps"] + 1  # header, steps 0 to 100
 

@@ -149,23 +149,45 @@ def test_step_rejects_bad_dt():
     p = sphere_support(1.0, n_nodes=101)
     with pytest.raises(StepRejectedError):
         step(p, SpeedFunction("gauss_power", 2.0), 10.0)
+    # a step past the stage limit is rejected before any stage is taken
+    with pytest.raises(StepRejectedError):
+        step(p, SpeedFunction("gauss_power", 2.0), 1e300)
 
 
 def test_adaptive_dt_frozen():
-    # unit sphere, gauss, alpha=2: fdot1 + fdot2 = 2 by eval_f_derivs
-    p = sphere_support(1.0, n_nodes=201)
-    dt = adaptive_dt(p, SpeedFunction("gauss_power", 2.0), safety=0.25)
-    assert dt == pytest.approx(oracles.dt_oracle(201, 0.25, 2.0), rel=1e-12)
+    # unit sphere, gauss, alpha=2: the lifetime 1/3, so the step is 0.003 of it
+    speed = SpeedFunction("gauss_power", 2.0)
+    dt = adaptive_dt(sphere_support(1.0, n_nodes=201), speed, safety=0.25)
+    assert dt == pytest.approx(0.003 / 3.0, rel=1e-12)
+    # at N = 33 the explicit parabolic step (fdot1 + fdot2 = 2), 1.2e-3, is
+    # larger and is taken instead
+    dt = adaptive_dt(sphere_support(1.0, n_nodes=33), speed, safety=0.25)
+    assert dt == pytest.approx(oracles.cfl_dt(math.pi / 32, 0.25, 2.0), rel=1e-12)
 
 
 def test_adaptive_dt_scaling():
     speed = SpeedFunction("gauss_power", 2.0)
     dt1 = adaptive_dt(sphere_support(1.0, 201), speed)
     dt2 = adaptive_dt(sphere_support(1.0, 401), speed)
-    assert dt1 / dt2 == pytest.approx(4.0, rel=1e-10)
-    # shrinking sphere: speed derivatives grow, dt falls
+    assert dt1 == pytest.approx(dt2, rel=1e-12)  # accuracy, not the grid, sets it
+    # shrinking sphere: the remaining lifetime shrinks, dt falls
     dts = [adaptive_dt(sphere_support(rho, 201), speed) for rho in (1.0, 0.5, 0.25)]
     assert dts[0] > dts[1] > dts[2]
+
+
+@pytest.mark.parametrize("family", oracles.FAMILIES)
+@pytest.mark.parametrize("alpha", [1.0, 2.0])
+def test_rkc_matches_explicit_reference(family, alpha):
+    # both schemes from the 2:1 spheroid to 0.9 of the default stop time
+    cfg = FlowConfig(family, alpha, a=2.0, b=1.0, n_nodes=51)
+    t_end = 0.9 * run(cfg).t_final
+    speed = cfg.speed()
+    p = cfg.initial_profile()
+    while p.time < t_end:
+        p = step(p, speed, min(adaptive_dt(p, speed, cfg.safety), t_end - p.time))
+    s_ref, t_ref = oracles.reference_flow(cfg.initial_profile(), speed, t_end)
+    assert p.time == t_end and t_ref == t_end
+    assert np.max(np.abs(p.s - s_ref)) / np.max(s_ref) <= 1e-5
 
 
 @pytest.mark.parametrize("family", ["gauss_power", "mean_power", "norm_power", "sum_power"])
@@ -185,13 +207,13 @@ def test_step_and_run_agree_bit_for_bit(family, alpha):
 
 
 # (steps, float.hex(t_extinct), float.hex(profile.s.sum())) of a short flow
-# per family, frozen from the stepper before its k kernel took an order:
-# any change to the rounding of the hot loop moves one of them
+# per family, frozen from the RKC stepper with the mirror-exact stencil: any
+# change to the rounding of the hot loop moves one of them
 HOT_LOOP_PINS = {
-    "gauss_power": (2242, "0x1.73b23392f9896p-1", "0x1.a9f9cb12ee5b1p+2"),
-    "mean_power": (2357, "0x1.e617436d14691p-3", "0x1.ac7a31da4e63fp+2"),
-    "norm_power": (2525, "0x1.737139ad59d5ap-2", "0x1.b40fa841941c1p+2"),
-    "sum_power": (2435, "0x1.4801de314cfeap-2", "0x1.af3c9a4935326p+2"),
+    "gauss_power": (1757, "0x1.73b5628dd874ap-1", "0x1.aa21d5234a327p+2"),
+    "mean_power": (1788, "0x1.e62405dfcb093p-3", "0x1.aca4800f50752p+2"),
+    "norm_power": (1820, "0x1.736ef825d4519p-2", "0x1.b3ae6adeeadc3p+2"),
+    "sum_power": (1805, "0x1.47f97c8375fe4p-2", "0x1.af8e5c55a90d3p+2"),
 }
 
 
@@ -209,13 +231,13 @@ def test_run_hot_loop_bytes_pinned(family):
 
 
 # sha256 over the records of the HOT_LOOP_PINS flows run with record_every=1,
-# one line of float.hex fields per record, frozen before records were built a
-# block at a time: a rounding change that `diagnostics` shares moves them
+# one line of float.hex fields per record, frozen with HOT_LOOP_PINS: a
+# rounding change that `diagnostics` shares moves them
 RECORD_PINS = {
-    "gauss_power": "78f3c1a2d093f5ae87fd7c0ad8c10e023376eb10e8300ab3862431bac8b52e31",
-    "mean_power": "e3b038c8c2c16abbd98ef9e46cee68b93513c8414a1b5c00046e30af16605bcb",
-    "norm_power": "cb8faae548b465da3dfc1e63df436b0c35d497bf9c672927958110f5a2c4ad68",
-    "sum_power": "e02a17027f7341b9ae0ae9b44af3d4da25fba6f70dbf617d75067a7534f95f2e",
+    "gauss_power": "924900fedaf24caf355b08719493b44f06f9e5681429059c7144cedf536e09c2",
+    "mean_power": "e0c97018d9984a4f5d5cf674dbb75581fb67f0f2fbd0f2626ecbd20235f15e12",
+    "norm_power": "f3f7c68f515250986ce3536de749671eb746fa89def696ae4d5d4e9515212ce7",
+    "sum_power": "adee92fb243030b8b806645501828151a40dd2d420d6c2f2f600cbcae89d22e8",
 }
 
 
@@ -304,12 +326,13 @@ def test_run_monotone_smoke():
 
 
 def test_run_preserves_equatorial_symmetry():
-    cfg = FlowConfig(
-        "mean_power", 1.5, a=2.0, b=1.0, n_nodes=101, stop_fraction=0.2, record_every=50
-    )
-    trace = run(cfg)
-    s = trace.profile.s
-    assert np.max(np.abs(s - s[::-1])) <= 1e-10 * np.max(s)
+    # every family: the stencil and every RKC update are mirror-exact
+    for family in oracles.FAMILIES:
+        cfg = FlowConfig(
+            family, 1.5, a=2.0, b=1.0, n_nodes=101, stop_fraction=0.2, record_every=50
+        )
+        s = run(cfg).profile.s
+        assert np.array_equal(s, s[::-1]), family
 
 
 def test_run_convexity_loss_partial_trace():
@@ -328,10 +351,11 @@ def test_run_dt_halving_abort_keeps_every_record(monkeypatch):
     cfg = FlowConfig("gauss_power", 2.0, a=2.0, b=1.0, n_nodes=33, record_every=1)
     full = run(dataclasses.replace(cfg, max_steps=100))
     assert full.status == "max_steps" and len(full.records) == 101
-    real = flowmod._midpoint
+    assert full.rejected == 0 and full.stages >= 2 * full.steps
+    real = flowmod._rkc
     accepted = []
 
-    def midpoint_until_step_100(*args):
+    def rkc_until_step_100(*args):
         if len(accepted) == 100:
             return None
         out = real(*args)
@@ -339,12 +363,13 @@ def test_run_dt_halving_abort_keeps_every_record(monkeypatch):
             accepted.append(out)
         return out
 
-    monkeypatch.setattr(flowmod, "_midpoint", midpoint_until_step_100)
+    monkeypatch.setattr(flowmod, "_rkc", rkc_until_step_100)
     with pytest.raises(ConvexityLossError) as exc:
         run(cfg)
     assert exc.value.node == -1  # the dt-halving abort
     trace = exc.value.trace
     assert trace.status == "convexity_loss" and trace.steps == 100
+    assert trace.rejected == 8 and trace.stages > full.stages
     assert [hex_row(r) for r in trace.records] == [
         hex_row(r) for r in full.records
     ]
@@ -448,3 +473,19 @@ def test_flow_config_validation():
         FlowConfig("gauss_power", 2.0, a=-1.0)
     with pytest.raises(ValueError):
         FlowConfig("nope", 2.0)
+
+
+def test_infinite_inputs_rejected():
+    # inf > 0 holds, so each check must also ask for a finite value
+    inf = float("inf")
+    for make in (
+        lambda: FlowConfig("gauss_power", 2.0, a=inf),
+        lambda: FlowConfig("gauss_power", 2.0, b=inf),
+        lambda: FlowConfig("gauss_power", inf),
+        lambda: SpeedFunction("mean_power", inf),
+        lambda: ellipsoid_support(inf, 1.0),
+        lambda: ellipsoid_support(1.0, inf),
+        lambda: sphere_support(inf),
+    ):
+        with pytest.raises(DomainError):
+            make()
