@@ -39,6 +39,7 @@ COMMANDS = [
     "threshold --family gauss_power --alpha-lo 1.5 --alpha-hi 3 --tol 0.05",
     "verify-identities --draws 2000 --seed 0",
     "verify-identities --draws 2000 --seed 7",
+    "verify-identities --seed 134",
 ]
 
 

@@ -7,12 +7,14 @@ alpha^3-convexity margin.
 
 Each formula is written once, over + - * / so that Fractions, floats, numpy
 arrays, mpmath numbers and the exact ring of the certificates run the same
-code: `_gdot` and `_g_derivs` (G's derivatives), `_gradient_terms_raw` with
-`_normalize` (the raw Q1/Q2 assembly, any family), `_gauss_closed` (the
-gauss_power closed form in t = r2/r1, numerators by `horner`, the evaluator
-the Sturm certificates use on the same coefficient lists) and
-`_power_sum_table` (mean, norm and sum power derivatives straight from f,
-not through k: the agreement suite's second route, and the certificates').
+code: `_gdot` and `_g_derivs` (G's derivatives), `_zero_order` (Z),
+`_q_full` (the eight-term Q of the reduction check, floats or float arrays),
+`_gradient_terms_raw` with `_normalize` (the raw Q1/Q2 assembly, any
+family), `_gauss_closed` (the gauss_power closed form in t = r2/r1,
+numerators by `horner`, the evaluator the Sturm certificates use on the
+same coefficient lists) and `_power_sum_table` (mean, norm and sum power
+derivatives straight from f, not through k: the agreement suite's second
+route, and the certificates').
 
 Normalization convention: the coefficients of T1^2 and T2^2 in the gradient
 reduction are only determined up to positive point-dependent factors (the
@@ -24,7 +26,6 @@ comparable.
 """
 
 from fractions import Fraction
-from math import sqrt
 from typing import NamedTuple
 
 import numpy as np
@@ -81,10 +82,14 @@ def zero_order_term(speed: SpeedFunction, r: RadiiPoint):
     rounding only; identities.closed_agreement_suite catches derivative errors.
     """
     _require_ordered(r)
-    fd = eval_f_derivs(speed, r)
+    return _zero_order(eval_f_derivs(speed, r), r.r1, r.r2)
+
+
+def _zero_order(fd, r1, r2):
+    """Z from (f, fdot) at radii (r1, r2); generic in the scalar type."""
     f, f1, f2 = fd[:3]
-    g1, g2 = _gdot(fd, r.r2 - r.r1)
-    return (f + f1 * r.r1 + f2 * r.r2) * (g1 + g2) - (f1 + f2) * (g1 * r.r1 + g2 * r.r2)
+    g1, g2 = _gdot(fd, r2 - r1)
+    return (f + f1 * r1 + f2 * r2) * (g1 + g2) - (f1 + f2) * (g1 * r1 + g2 * r2)
 
 
 def _gradient_terms_raw(fd, w):
@@ -244,11 +249,19 @@ def q_full_reduction_check(speed: SpeedFunction, r: RadiiPoint, T1, T2):
     """
     _require_ordered(r)
     fd = tuple(float(v) for v in eval_f_derivs(speed, r))
+    q_full = _q_full(fd, float(r.r2 - r.r1), T1, T2)
+    rp = RadiiPoint(float(r.r1), float(r.r2))
+    q1, q2 = gradient_terms_general(SpeedFunction(speed.family, float(speed.alpha)), rp)
+    return q_full - (q1 * T1 * T1 + q2 * T2 * T2)
+
+
+def _q_full(fd, w, T1, T2):
+    """The eight-term Q of q_full_reduction_check from (f, fdot, fddot),
+    w = r2 - r1 and the slack components T1, T2; floats or float arrays."""
     f, f1, f2, f11, f12, f22 = fd
-    w = float(r.r2 - r.r1)
     g1, g2, g11, g12, g22 = _g_derivs(fd, w)
-    lam1 = sqrt(-2 / f) / abs(g1)
-    lam2 = sqrt(-2 / f) / abs(g2)
+    lam1 = np.sqrt(-2 / f) / abs(g1)
+    lam2 = np.sqrt(-2 / f) / abs(g2)
     d1r11 = lam1 * g2 * T1
     d1r22 = -lam1 * g1 * T1
     d2r22 = lam2 * g1 * T2
@@ -256,7 +269,7 @@ def q_full_reduction_check(speed: SpeedFunction, r: RadiiPoint, T1, T2):
     d1r12 = d2r11  # Codazzi
     d2r12 = d1r22
     cross = (g1 * f2 - g2 * f1) / w
-    q_full = (
+    return (
         (g1 * f11 - f1 * g11) * d1r11**2
         + (g1 * f22 - f1 * g22) * d1r22**2
         + 2 * (g1 * f12 - f1 * g12) * d1r11 * d1r22
@@ -266,9 +279,6 @@ def q_full_reduction_check(speed: SpeedFunction, r: RadiiPoint, T1, T2):
         + 2 * (g2 * f12 - f2 * g12) * d2r11 * d2r22
         + 2 * cross * d2r12**2
     )
-    rp = RadiiPoint(float(r.r1), float(r.r2))
-    q1, q2 = gradient_terms_general(SpeedFunction(speed.family, float(speed.alpha)), rp)
-    return q_full - (q1 * T1 * T1 + q2 * T2 * T2)
 
 
 def convexity_condition(speed: SpeedFunction, r: RadiiPoint):

@@ -5,10 +5,24 @@ definitions (kappa_i = 1/r_i) and differentiated by central finite
 differences or sympy, with no reference to the package's analytic
 derivative code — agreement is a genuine cross-check rather than a
 tautology.  Frozen reference values carry their derivations as comments.
+
+The slow references (`reference_flow` and the per-draw identity suites) are
+the code paths the package's fast paths replaced, kept here so the tests
+can require the same results from both.
 """
 
 import math
 from fractions import Fraction
+
+import numpy as np
+
+from pinchflow.identities import REDUCTION_BOUND, Z_BOUND
+from pinchflow.pinching import (
+    gradient_terms_general,
+    q_full_reduction_check,
+    zero_order_term,
+)
+from pinchflow.speeds import RadiiPoint, SpeedFunction, eval_f_derivs
 
 FAMILIES = ("gauss_power", "mean_power", "norm_power", "sum_power")
 
@@ -177,3 +191,72 @@ K_MEAN_11 = 0.5
 # 2:1 spheroid radii at the equator and poles
 EQUATOR_RADII_21 = (4.0, 1.0)
 POLE_RADII_21 = 0.5
+
+
+# --- per-draw identity suites ----------------------------------------------
+
+
+def _draw_radii(rng):
+    r1 = 10.0 ** rng.uniform(-3, 3)
+    t = 1.0 + 10.0 ** rng.uniform(-3, 3)
+    return RadiiPoint(r1, r1 * t)
+
+
+def z_residual_suite_loop(draws=10000, seed=0):
+    """identities.z_residual_suite one draw at a time through the package's
+    per-point API: the slow reference for its array evaluation."""
+    rng = np.random.default_rng(seed)
+    worst = 0.0
+    worst_case = None
+    for i in range(draws):
+        family = FAMILIES[i % len(FAMILIES)]
+        alpha = rng.uniform(0.5, 10.0)
+        r = _draw_radii(rng)
+        speed = SpeedFunction(family, alpha)
+        fd = eval_f_derivs(speed, r)
+        scale = (abs(fd.f) + fd.f1 * r.r1 + fd.f2 * r.r2) * (fd.f1 + fd.f2) * (
+            r.r2 - r.r1
+        )
+        ratio = abs(zero_order_term(speed, r)) / scale
+        if ratio > worst:
+            worst = ratio
+            worst_case = {"family": family, "alpha": alpha, "r1": r.r1, "r2": r.r2}
+    return {
+        "suite": "zero_order",
+        "draws": draws,
+        "seed": seed,
+        "worst_ratio": worst,
+        "bound": Z_BOUND,
+        "worst_case": worst_case,
+        "pass": worst <= Z_BOUND,
+    }
+
+
+def reduction_suite_loop(draws=1000, seed=0):
+    """identities.reduction_suite one draw at a time: the slow reference for
+    its array evaluation."""
+    rng = np.random.default_rng(seed)
+    worst = 0.0
+    worst_case = None
+    for i in range(draws):
+        family = FAMILIES[i % len(FAMILIES)]
+        alpha = rng.uniform(0.5, 10.0)
+        r = _draw_radii(rng)
+        t1, t2 = rng.normal(size=2) * 10.0 ** rng.uniform(-2, 2)
+        speed = SpeedFunction(family, alpha)
+        residual = q_full_reduction_check(speed, r, t1, t2)
+        q1, q2 = gradient_terms_general(speed, r)
+        scale = max(abs(q1 * t1 * t1), abs(q2 * t2 * t2), 1.0)
+        ratio = abs(residual) / scale
+        if ratio > worst:
+            worst = ratio
+            worst_case = {"family": family, "alpha": alpha, "r1": r.r1, "r2": r.r2}
+    return {
+        "suite": "reduction",
+        "draws": draws,
+        "seed": seed,
+        "worst_ratio": worst,
+        "bound": REDUCTION_BOUND,
+        "worst_case": worst_case,
+        "pass": worst <= REDUCTION_BOUND,
+    }

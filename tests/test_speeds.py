@@ -16,6 +16,8 @@ from pinchflow import (
     eval_f_derivs,
     eval_k_derivs,
 )
+from pinchflow.identities import _ScalarPow
+from pinchflow.speeds import _f_derivs
 
 import oracles
 
@@ -49,6 +51,20 @@ def test_f_derivs_frozen_gauss():
     assert fd.f == pytest.approx(oracles.GAUSS_A2_12["f"], abs=1e-14)
     assert fd.f1 == pytest.approx(oracles.GAUSS_A2_12["f1"], abs=1e-14)
     assert fd.f2 == pytest.approx(oracles.GAUSS_A2_12["f2"], abs=1e-14)
+
+
+def test_f_derivs_scalar_pow_arrays_match_points():
+    # the identity suites evaluate their draws as _ScalarPow arrays and must
+    # give the bits of the per-point evaluation
+    rng = np.random.default_rng(5)
+    r1, r2 = 10.0 ** rng.uniform(-3, 3, (2, 64))
+    for fam in FAMILIES:
+        for alpha in (0.5, 0.75, 1.0, 1.5, 2.0, 2.5, 3.25, 4.0, 5.7, 10.0):
+            a = np.full_like(r1, alpha)
+            got = _f_derivs(fam, *(x.view(_ScalarPow) for x in (a, r1, r2)))
+            speed = SpeedFunction(fam, alpha)
+            want = [eval_f_derivs(speed, RadiiPoint(*r)) for r in zip(r1, r2)]
+            assert np.array_equal(np.array(got), np.array(want).T), (fam, alpha)
 
 
 def test_k_derivs_frozen():
