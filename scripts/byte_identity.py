@@ -26,6 +26,8 @@ COMMANDS = [
     f"flow --family mean_power --alpha 1.5 {FLOW}",
     f"flow --family norm_power --alpha 1 {FLOW}",
     f"flow --family sum_power --alpha 2.5 {FLOW}",
+    "flow --family gauss_power --alpha 1 --a 1 --b 1 --n-nodes 33"
+    " --stop-fraction 0.2",
     "flow --family norm_power --alpha 2 --a 2 --b 1 --n-nodes 201"
     " --max-steps 3000 --record-every 1",
     "q-sign --family gauss_power --alpha 1.5",
@@ -37,6 +39,7 @@ COMMANDS = [
     "q-sign --family norm_power --alpha 8 --t-max 1e4",
     "q-sign --family sum_power --alpha 3 --t-max 1e3",
     "threshold --family gauss_power --alpha-lo 1.5 --alpha-hi 3 --tol 0.05",
+    "threshold --family gauss_power --alpha-lo 1.5 --alpha-hi 3",
     "verify-identities --draws 2000 --seed 0",
     "verify-identities --draws 2000 --seed 7",
     "verify-identities --seed 134",

@@ -23,10 +23,9 @@ import numpy as np
 
 from .errors import BracketError, DomainError
 from .pinching import (
-    _gauss_closed,
+    _closed_q,
     _gradient_terms_raw,
     _power_sum_p,
-    _power_sum_q,
     _power_sum_table,
     closed_numerators,
     gradient_terms_general_arrays,
@@ -382,9 +381,7 @@ def _q_at(speed, t):
         return mpmath.mpf(c.numerator) / c.denominator
 
     with mpmath.workprec(150):
-        if speed.family == "gauss_power":
-            return [float(q) for q in _gauss_closed(float(speed.alpha), mpf(t), mpf)]
-        return [float(q) for q in _power_sum_q(speed, mpf(t))]
+        return [float(q) for q in _closed_q(speed, mpf(t), mpf)]
 
 
 def certify_nonpositive(family, alpha, t_max=1e6) -> QReport:
@@ -452,7 +449,7 @@ def certify_nonpositive(family, alpha, t_max=1e6) -> QReport:
     )
 
 
-def find_threshold(family, alpha_range, tol, t_max=1e6) -> ThresholdResult:
+def find_threshold(family, alpha_range, tol=0.05, t_max=1e6) -> ThresholdResult:
     """Bisection in alpha for the largest certifiable exponent.
 
     A probe 'passes' when certify_nonpositive returns a nonpositive verdict;

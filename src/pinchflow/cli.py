@@ -31,8 +31,6 @@ EXIT_VIOLATION = 1
 EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
 
-MONOTONE_TOL = 1e-3
-
 # Each command's parameters, name -> type.  The flags (--t-max for t_max), the
 # config-file keys and the coercion all come from these tables; defaults and
 # range checks belong to the library functions the commands call.
@@ -153,7 +151,6 @@ def cmd_threshold(args):
     params = _params(args)
     family = _require(params, "family")
     bracket = (_require(params, "alpha_lo"), _require(params, "alpha_hi"))
-    params.setdefault("tol", 0.05)  # find_threshold has no default tolerance
     result = find_threshold(family, bracket, **params)
     mid = 0.5 * (result.alpha_lo + result.alpha_hi)
     print(
@@ -179,27 +176,6 @@ def _flow_config(params):
         raise ConfigError(str(err))
 
 
-def _flow_summary(trace):
-    summary = trace.summary_dict()
-    drifts = {}
-    for col in ("pinch_sup", "max_radius", "max_ratio"):
-        values = [getattr(r, col) for r in trace.records]
-        drifts[col] = flowmod.pinching_drift(values) if values else None
-    summary["monotonicity"] = {
-        "drift": drifts,
-        "monotone": {
-            c: (d is not None and d <= MONOTONE_TOL) for c, d in drifts.items()
-        },
-        "tolerance": MONOTONE_TOL,
-    }
-    cfg = trace.config
-    if cfg.a == cfg.b:
-        summary["sphere_t_exact"] = flowmod.sphere_extinction_time(
-            cfg.a, cfg.alpha
-        )
-    return summary
-
-
 def _run_flow(config, out):
     try:
         trace = flowmod.run(config)
@@ -207,7 +183,7 @@ def _run_flow(config, out):
     except ConvexityLossError as err:
         trace = err.trace
         code = EXIT_NUMERIC
-    summary = _flow_summary(trace)
+    summary = trace.summary_dict()
     if out:
         path = os.path.join(out, "trace.csv")
         reports.write_trace_csv(path, flowmod.TRACE_COLUMNS, trace.records)

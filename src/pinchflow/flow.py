@@ -16,14 +16,14 @@ Three kernels make up the stepper.  `_rate_and_cap` gives the rate
 -k^(-alpha) and the cap max(df1 + df2) at the start of a step;
 `_step_dt` turns them into the step, a fixed fraction `_EPS` of the
 remaining shrinking-sphere lifetime but never less than the explicit
-parabolic step safety * dtheta^2 / cap; `_rkc` takes the step in as many
+parabolic step `_FLOOR` * dtheta^2 / cap; `_rkc` takes the step in as many
 stages as `_stage_count` asks for, or rejects it (the caller halves dt).
 They ask `speeds._k_derivs` for no more than they read: `_rate_and_cap`
 for order 1 (k, k1, k2), `_rkc`'s stage rates and `_diagnose`'s
 min |speed| for order 0 (k alone), so no second derivative is formed per
 step.  `run` loops over them on bare arrays; `step` and `adaptive_dt`
 wrap the same kernels for one SupportProfile, so iterating
-`step(p, speed, adaptive_dt(p, speed, safety))` reproduces `run` bit for bit
+`step(p, speed, adaptive_dt(p, speed))` reproduces `run` bit for bit
 while no step is rejected.
 
 `_diagnose` is the one diagnostics kernel.  It takes the `_radii` arrays of
@@ -63,10 +63,12 @@ from .speeds import SpeedFunction, _k_derivs
 # then builds the whole block.
 _RECORD_BLOCK = 64
 
-# A step advances this fraction of the smallest remaining shrinking-sphere
-# lifetime over the nodes, unless the explicit parabolic step is longer
-# (`_step_dt`).
+# A step advances _EPS of the smallest remaining shrinking-sphere lifetime
+# over the nodes, but never less than the explicit parabolic step
+# _FLOOR * dtheta^2 / max(df1 + df2), so a coarse grid takes no more steps
+# than the explicit scheme (`_step_dt`).
 _EPS = 0.003
+_FLOOR = 0.25
 
 # Damping of the RKC stability polynomial: inside the stability interval
 # |R| stays below about 1 - damping / 3 instead of touching 1 at every
@@ -76,6 +78,10 @@ _DAMPING = 2.0 / 13.0
 # The most stages a step may take.  A longer step is rejected like one that
 # loses convexity (the caller halves dt), so no dt buys unbounded work.
 _MAX_STAGES = 1000
+
+# A recorded column counts as monotone in `FlowTrace.summary_dict` when its
+# `pinching_drift` is at most this.
+MONOTONE_TOL = 1e-3
 
 
 def _positive(x):
@@ -203,13 +209,13 @@ def _rate_and_cap(family, alpha, r1, r2):
     return -(a * k), float(np.maximum.reduce(alpha * a * (k1 + k2)))
 
 
-def _step_dt(s, rate0, cap, d, alpha, safety):
+def _step_dt(s, rate0, cap, d, alpha):
     """The step from s, whose rate is rate0: _EPS / (alpha + 1) times the
     smallest s / |ds/dt| over the nodes, which on a sphere is _EPS times its
     remaining lifetime, but never less than the explicit parabolic step
-    safety * d^2 / cap, so a coarse grid takes no more steps than that."""
+    _FLOOR * d^2 / cap."""
     lifetime = -float(np.maximum.reduce(s / rate0)) / (alpha + 1.0)
-    return max(_EPS * lifetime, safety * (d * d) / cap)
+    return max(_EPS * lifetime, _FLOOR * (d * d) / cap)
 
 
 def _stage_count(dt, cap, d):
@@ -306,15 +312,13 @@ def step(profile, speed, dt) -> SupportProfile:
     return SupportProfile(profile.theta, out[0], t_new)
 
 
-def adaptive_dt(profile, speed, safety=0.25):
+def adaptive_dt(profile, speed):
     """The time step `run` starts from (`_step_dt`): _EPS of the remaining
-    shrinking-sphere lifetime, floored at safety * dtheta^2 / max(df1 + df2)."""
-    if not 0 < safety <= 0.5:
-        raise DomainError("safety must lie in (0, 0.5]")
+    shrinking-sphere lifetime, floored at _FLOOR * dtheta^2 / max(df1 + df2)."""
     rf = radii_from_support(profile)
     alpha = float(speed.alpha)
     rate0, cap = _rate_and_cap(speed.family, alpha, rf.r1, rf.r2)
-    return _step_dt(profile.s, rate0, cap, profile.dtheta, alpha, safety)
+    return _step_dt(profile.s, rate0, cap, profile.dtheta, alpha)
 
 
 def _grid_tables(theta):
@@ -405,7 +409,6 @@ class FlowConfig:
     a: float = 1.0  # polar semi-axis of the initial spheroid
     b: float = 1.0  # equatorial semi-axis
     n_nodes: int = 201
-    safety: float = 0.25
     stop_fraction: float = 0.05
     max_steps: int = 2_000_000
     record_every: int = 100
@@ -419,8 +422,6 @@ class FlowConfig:
                 raise DomainError(
                     f"semi-axis {name} must be finite and positive, got {value}"
                 )
-        if not 0 < self.safety <= 0.5:
-            raise DomainError("safety must lie in (0, 0.5]")
         if not 0 < self.stop_fraction <= 0.2:
             raise DomainError("stop_fraction must lie in (0, 0.2]")
         if self.record_every < 1 or self.max_steps < 1:
@@ -451,12 +452,31 @@ class FlowTrace:
     deviation: float = None
 
     def summary_dict(self):
+        """summary.json: every field but records and profile, three columns'
+        pinching drifts and monotone flags (None and False with no records),
+        and the exact sphere extinction time when the start is round."""
         out = {
             f.name: getattr(self, f.name)
             for f in fields(self)
             if f.name not in ("records", "profile")
         }
         out["config"] = asdict(self.config)
+        drifts = {
+            col: pinching_drift([getattr(r, col) for r in self.records])
+            if self.records
+            else None
+            for col in ("pinch_sup", "max_radius", "max_ratio")
+        }
+        out["monotonicity"] = {
+            "drift": drifts,
+            "monotone": {
+                c: (d is not None and d <= MONOTONE_TOL) for c, d in drifts.items()
+            },
+            "tolerance": MONOTONE_TOL,
+        }
+        cfg = self.config
+        if cfg.a == cfg.b:
+            out["sphere_t_exact"] = sphere_extinction_time(cfg.a, cfg.alpha)
         return out
 
 
@@ -520,7 +540,7 @@ def run(config: FlowConfig, profile=None) -> FlowTrace:
         pending.append((n, t, dt, s, r1, r2, diff))
     while status is None:
         rate0, cap = _rate_and_cap(fam, alpha, r1, r2)
-        dt = _step_dt(s, rate0, cap, d, alpha, config.safety)
+        dt = _step_dt(s, rate0, cap, d, alpha)
         for _ in range(8):
             n_stages = _stage_count(dt, cap, d)
             stages += n_stages

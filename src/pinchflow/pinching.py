@@ -303,14 +303,17 @@ def pinching_quantity(r: RadiiPoint, alpha):
 
 def gradient_terms_general_arrays(speed: SpeedFunction, t):
     """Vectorized (Q1, Q2) at r = (1, t) for a numpy array t > 1, normalized
-    like gradient_terms_general.  Used by the scanners.
+    like gradient_terms_general.  Used by the scanners."""
+    return _closed_q(speed, np.asarray(t, dtype=float))
 
-    Every family goes through a route that does not use k: the closed gauss
-    polynomial (the raw assembly loses its sign to cancellation at large t
-    when the second normalizing factor degenerates, alpha near 2) or the
-    power-sum table.  The agreement suite compares them with `_raw_arrays`.
-    """
-    t = np.asarray(t, dtype=float)
+
+def _closed_q(speed: SpeedFunction, t, scalar=float):
+    """(Q1, Q2) at r = (1, t), t a float array or an mpmath number, through a
+    route that does not use k: the closed gauss polynomial, its coefficients
+    converted by `scalar` (the raw assembly loses its sign to cancellation at
+    large t when the second normalizing factor degenerates, alpha near 2),
+    or the power-sum table.  The agreement suite compares them with
+    `_raw_arrays`; the certificates' witnesses evaluate them at 150 bits."""
     if speed.family == "gauss_power":
-        return _gauss_closed(float(speed.alpha), t, float)
+        return _gauss_closed(float(speed.alpha), t, scalar)
     return _power_sum_q(speed, t)

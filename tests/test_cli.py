@@ -172,12 +172,18 @@ REPORT_SHA256 = [
     (
         FLOW_ARGV,
         "summary.json",
-        "d32fbd7a57216c91ae5f5cfb04a214486006f19888c9bf11378531c7c7532a11",
+        "e4526d728279bf5b4d29d35048dff2a6758810005c4fb9bfb2a0ba899697203e",
     ),
     (
         FLOW_ARGV,
         "trace.csv",
         "cd1f59e408c3c2451aa120fd24e9967d18431678fcee9ee308a5ab3054dd06c5",
+    ),
+    (  # find_threshold's default tolerance is 0.05
+        ("threshold", "--family", "gauss_power", "--alpha-lo", "1.5")
+        + ("--alpha-hi", "3"),
+        "threshold.json",
+        "230cfceedad97713106c7d79ba91d329704b5d8477d119131ad36ab2e84d2fd5",
     ),
 ]
 
@@ -324,7 +330,7 @@ def test_flow_sphere_summary(tmp_path, capsys):
     assert len(lines) > 10
 
 
-def test_flow_invalid_config_no_partial_output(tmp_path):
+def test_flow_invalid_config_no_partial_output(tmp_path, capsys):
     out = tmp_path / "never"
     code = invoke(
         "flow",
@@ -338,6 +344,14 @@ def test_flow_invalid_config_no_partial_output(tmp_path):
         str(out),
     )
     assert code == 2
+    # the step floor is a constant of the stepper, neither a key nor a flag
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"family": "gauss_power", "alpha": 2, "safety": 0.3}))
+    assert invoke("flow", "--config", str(cfg), "--out", str(out)) == 2
+    assert "field 'safety'" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        invoke("flow", "--family", "gauss_power", "--alpha", "2", "--safety", "0.3")
+    assert exc.value.code == 2
     assert not out.exists()
 
 

@@ -157,11 +157,11 @@ def test_step_rejects_bad_dt():
 def test_adaptive_dt_frozen():
     # unit sphere, gauss, alpha=2: the lifetime 1/3, so the step is 0.003 of it
     speed = SpeedFunction("gauss_power", 2.0)
-    dt = adaptive_dt(sphere_support(1.0, n_nodes=201), speed, safety=0.25)
+    dt = adaptive_dt(sphere_support(1.0, n_nodes=201), speed)
     assert dt == pytest.approx(0.003 / 3.0, rel=1e-12)
     # at N = 33 the explicit parabolic step (fdot1 + fdot2 = 2), 1.2e-3, is
     # larger and is taken instead
-    dt = adaptive_dt(sphere_support(1.0, n_nodes=33), speed, safety=0.25)
+    dt = adaptive_dt(sphere_support(1.0, n_nodes=33), speed)
     assert dt == pytest.approx(oracles.cfl_dt(math.pi / 32, 0.25, 2.0), rel=1e-12)
 
 
@@ -184,7 +184,7 @@ def test_rkc_matches_explicit_reference(family, alpha):
     speed = cfg.speed()
     p = cfg.initial_profile()
     while p.time < t_end:
-        p = step(p, speed, min(adaptive_dt(p, speed, cfg.safety), t_end - p.time))
+        p = step(p, speed, min(adaptive_dt(p, speed), t_end - p.time))
     s_ref, t_ref = oracles.reference_flow(cfg.initial_profile(), speed, t_end)
     assert p.time == t_end and t_ref == t_end
     assert np.max(np.abs(p.s - s_ref)) / np.max(s_ref) <= 1e-5
@@ -201,7 +201,7 @@ def test_step_and_run_agree_bit_for_bit(family, alpha):
     speed = cfg.speed()
     p = cfg.initial_profile()
     for _ in range(20):
-        p = step(p, speed, adaptive_dt(p, speed, cfg.safety))
+        p = step(p, speed, adaptive_dt(p, speed))
     assert np.array_equal(p.s, trace.profile.s)
     assert p.time == trace.t_final
 
@@ -345,6 +345,10 @@ def test_run_convexity_loss_partial_trace():
     assert trace is not None and trace.status == "convexity_loss"
     assert trace.records == []
     assert trace.initial_min_support == bumpy_profile().s.min()
+    mono = trace.summary_dict()["monotonicity"]
+    columns = ("pinch_sup", "max_radius", "max_ratio")
+    assert mono["drift"] == dict.fromkeys(columns)
+    assert mono["monotone"] == dict.fromkeys(columns, False)
 
 
 def test_run_dt_halving_abort_keeps_every_record(monkeypatch):
@@ -396,7 +400,7 @@ def test_run_records_match_diagnostics(family):
         p, dt = cfg.initial_profile(), 0.0
         for n, rec in enumerate(trace.records):
             if n:
-                dt = adaptive_dt(p, speed, cfg.safety)
+                dt = adaptive_dt(p, speed)
                 p = step(p, speed, dt)
             want = diagnostics(p, cfg.alpha, speed)
             want.update(step=n, t=p.time, dt=dt)
@@ -465,7 +469,7 @@ def test_pinching_drift_definition():
 def test_flow_config_validation():
     with pytest.raises(ValueError):
         FlowConfig("gauss_power", 2.0, stop_fraction=0.5)
-    with pytest.raises(ValueError):
+    with pytest.raises(TypeError):  # the step floor is a constant, not a field
         FlowConfig("gauss_power", 2.0, safety=0.9)
     with pytest.raises(ValueError):
         FlowConfig("gauss_power", 2.0, n_nodes=40)
