@@ -38,6 +38,8 @@ COMMANDS = [
     "q-sign --family mean_power --alpha 6 --t-max 1e4",
     "q-sign --family norm_power --alpha 8 --t-max 1e4",
     "q-sign --family sum_power --alpha 3 --t-max 1e3",
+    "q-sign --family sum_power --alpha 0.38",
+    "q-sign --family sum_power --alpha 0.3",
     "threshold --family gauss_power --alpha-lo 1.5 --alpha-hi 3 --tol 0.05",
     "threshold --family gauss_power --alpha-lo 1.5 --alpha-hi 3",
     "verify-identities --draws 2000 --seed 0",

@@ -36,7 +36,7 @@ def scan_family(family, alphas, t_max):
         )
         wit = f"  witness t={rep.witness_t:.6g}" if rep.witness_t is not None else ""
         print(f"  alpha={alpha:<6g} {mark:<22s} tail={rep.tail}{wit}")
-        rows.append(rep.to_json_dict())
+        rows.append(rep)
     return rows
 
 
@@ -59,7 +59,7 @@ def main():
                     f"  threshold in [{res.alpha_lo:.6g}, {res.alpha_hi:.6g}]"
                     f"  (width {res.width:.3g})"
                 )
-                entry["threshold"] = res.to_json_dict()
+                entry["threshold"] = res
             except BracketError as err:
                 print(f"  threshold search failed: {err}")
                 entry["threshold_error"] = str(err)

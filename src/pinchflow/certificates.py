@@ -17,7 +17,7 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import partial
 from math import floor, isfinite, lcm
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -58,20 +58,11 @@ class QReport:
     def passed(self):
         return self.verdict in ("nonpositive_certified", "nonpositive_sampled")
 
-    def to_json_dict(self):
-        return {
-            "family": self.family,
-            "alpha": self.alpha,
-            "region": {"t_lo": self.t_lo, "t_hi": self.t_hi},
-            "q1_max": self.q1_max,
-            "q2_max": self.q2_max,
-            "verdict": self.verdict,
-            "witness": None
-            if self.witness_t is None
-            else {"t": self.witness_t, "q": self.witness_q},
-            "method": self.method,
-            "tail": self.tail,
-        }
+
+class Probe(NamedTuple):
+    alpha: float
+    verdict: str
+    method: str
 
 
 @dataclass(frozen=True)
@@ -81,23 +72,11 @@ class ThresholdResult:
     alpha_hi: float
     tol: float
     t_max: float
-    probes: tuple = field(default_factory=tuple)  # (alpha, verdict, method) history
+    probes: tuple = field(default_factory=tuple)  # Probe history, in probe order
 
     @property
     def width(self):
         return self.alpha_hi - self.alpha_lo
-
-    def to_json_dict(self):
-        return {
-            "family": self.family,
-            "bracket": [self.alpha_lo, self.alpha_hi],
-            "width": self.width,
-            "tol": self.tol,
-            "t_max": self.t_max,
-            "probes": [
-                {"alpha": a, "verdict": v, "method": m} for a, v, m in self.probes
-            ],
-        }
 
 
 def log_ratio_grid(t_max=1e6, n=4096):
@@ -233,8 +212,9 @@ def _certify_numerator(coeffs, t_hi):
     """Exact verdict for 'polynomial <= 0 on (1, t_hi] and on the tail'.
 
     Returns None when both parts hold, else a rational witness point with
-    positive value: near the first sign change in (1, max(t_hi, Cauchy
-    bound, 2)], or, when only the tail fails, twice that bound.
+    positive value near the first sign change in (1, hi], hi = max(t_hi,
+    Cauchy bound, 2).  Beyond the Cauchy bound p has the sign of its leading
+    coefficient, so a failing tail already shows as p(hi) > 0.
 
     Soundness: every gap between isolating intervals is root-free, so its
     midpoint decides its sign; an isolating interval holds exactly one
@@ -245,7 +225,6 @@ def _certify_numerator(coeffs, t_hi):
     one = Fraction(1)
     if _shift_nonpositive(p):  # what the Sturm count below concludes, sooner
         return None
-    tail_ok = p[0] < 0
     chain = _sturm_chain(p)
     bound = _cauchy_bound(p)
     hi = max(Fraction(t_hi), bound, Fraction(2))
@@ -284,7 +263,7 @@ def _certify_numerator(coeffs, t_hi):
                 if horner(p, cand) > 0:
                     return cand
             raise RuntimeError("positive endpoint without interior witness")
-    return None if tail_ok else 2 * max(hi, bound)
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -465,7 +444,7 @@ def find_threshold(family, alpha_range, tol=0.05, t_max=1e6) -> ThresholdResult:
 
     def decide(a):
         rep = certify_nonpositive(family, a, t_max=t_max)
-        probes.append((a, rep.verdict, rep.method))
+        probes.append(Probe(a, rep.verdict, rep.method))
         return rep.passed()
 
     lo_pass = decide(lo)
@@ -473,8 +452,8 @@ def find_threshold(family, alpha_range, tol=0.05, t_max=1e6) -> ThresholdResult:
     if not lo_pass or hi_pass:
         raise BracketError(
             f"range [{lo}, {hi}] does not bracket a verdict change",
-            lo_verdict=probes[0][1],
-            hi_verdict=probes[1][1],
+            lo_verdict=probes[0].verdict,
+            hi_verdict=probes[1].verdict,
         )
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)

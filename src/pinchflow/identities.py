@@ -80,6 +80,19 @@ def _by_family(kernel, *columns):
     return out
 
 
+def _report(suite, bound, worst, worst_case, **extent):
+    """A suite's report: its name and extent (draws and seed, or grid), the
+    worst ratio against its bound, the case that gave it, and the verdict."""
+    return {
+        "suite": suite,
+        **extent,
+        "worst_ratio": worst,
+        "bound": bound,
+        "worst_case": worst_case,
+        "pass": worst <= bound,
+    }
+
+
 def _draw_report(suite, draws, seed, bound, ratio, alpha, r1, r2):
     # the first draw whose ratio beats the running worst, which starts at
     # 0.0; a NaN ratio never beats it
@@ -94,15 +107,7 @@ def _draw_report(suite, draws, seed, bound, ratio, alpha, r1, r2):
             "r1": float(r1[i]),
             "r2": float(r2[i]),
         }
-    return {
-        "suite": suite,
-        "draws": draws,
-        "seed": seed,
-        "worst_ratio": worst,
-        "bound": bound,
-        "worst_case": worst_case,
-        "pass": worst <= bound,
-    }
+    return _report(suite, bound, worst, worst_case, draws=draws, seed=seed)
 
 
 def _z_ratio(family, alpha, r1, r2):
@@ -138,14 +143,9 @@ def closed_agreement_suite(n_t=64, n_alpha=64):
                 if rel[i] > worst:
                     worst = float(rel[i])
                     worst_case = dict(family=family, alpha=float(alpha), t=float(t[i]), side=tag)
-    return {
-        "suite": "closed_agreement",
-        "grid": [n_t, n_alpha],
-        "worst_rel": worst,
-        "bound": AGREEMENT_BOUND,
-        "worst_case": worst_case,
-        "pass": worst <= AGREEMENT_BOUND,
-    }
+    return _report(
+        "closed_agreement", AGREEMENT_BOUND, worst, worst_case, grid=[n_t, n_alpha]
+    )
 
 
 def _reduction_ratio(family, alpha, r1, r2, t1, t2):

@@ -8,6 +8,7 @@ top-level "timestamp" key, which callers can strip before comparing.
 
 import json
 import math
+from dataclasses import fields, is_dataclass
 from datetime import datetime, timezone
 from fractions import Fraction
 
@@ -46,7 +47,9 @@ def _float_str(x: float):
 
 
 def canonical_json(obj) -> str:
-    """Serialize to a canonical JSON string (no trailing newline)."""
+    """Serialize to a canonical JSON string (no trailing newline).  A
+    dataclass instance is the object of its fields, a NamedTuple that of
+    its `_asdict()`."""
     if isinstance(obj, np.ndarray):
         obj = obj.tolist()
     elif isinstance(obj, np.floating):
@@ -75,22 +78,22 @@ def canonical_json(obj) -> str:
             f"{json.dumps(str(k))}:{canonical_json(v)}" for k, v in items
         )
         return "{" + inner + "}"
+    if is_dataclass(obj) and not isinstance(obj, type):
+        return canonical_json({f.name: getattr(obj, f.name) for f in fields(obj)})
+    if isinstance(obj, tuple) and getattr(obj, "_fields", None) is not None:
+        return canonical_json(obj._asdict())
     if isinstance(obj, (list, tuple)):
         return "[" + ",".join(canonical_json(v) for v in obj) + "]"
-    if hasattr(obj, "to_json_dict"):
-        return canonical_json(obj.to_json_dict())
     raise TypeError(f"cannot serialize {type(obj).__name__} canonically")
 
 
-def render_report(payload, timestamp=True) -> str:
-    """Canonical JSON document with an optional isolated timestamp key.
+def render_report(payload) -> str:
+    """Canonical JSON document with an isolated timestamp key.
 
     The timestamp is injected after canonicalization so the remainder of the
     byte stream is independent of wall-clock time.
     """
     body = canonical_json(payload)
-    if not timestamp:
-        return body + "\n"
     if not body.startswith("{"):
         raise TypeError("timestamped reports must be JSON objects")
     stamp = datetime.now(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
@@ -100,8 +103,8 @@ def render_report(payload, timestamp=True) -> str:
     return "{" + head + "," + body[1:] + "\n"
 
 
-def write_report(path, payload, timestamp=True):
-    text = render_report(payload, timestamp=timestamp)
+def write_report(path, payload):
+    text = render_report(payload)
     with open(path, "w") as fh:
         fh.write(text)
     return text

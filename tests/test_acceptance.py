@@ -72,7 +72,7 @@ def test_criterion_2_closed_vs_general(capfd):
         2,
         "closed-form vs general Q",
         res["pass"] and exact_ok,
-        f"grid worst {res['worst_rel']:.2e} vs 1e-10; exact point (-1,-8): {exact_ok}",
+        f"grid worst {res['worst_ratio']:.2e} vs 1e-10; exact point (-1,-8): {exact_ok}",
         elapsed,
         5.0,
     )

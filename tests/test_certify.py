@@ -1,5 +1,6 @@
 """Sign certification and threshold search."""
 
+import json
 from fractions import Fraction
 
 import mpmath
@@ -178,12 +179,12 @@ def test_certify_validates_t_max():
 
 def test_report_shape_and_serialization():
     rep = certify_nonpositive("gauss_power", alpha=2.0)
-    doc = rep.to_json_dict()
-    assert doc["verdict"] == "nonpositive_certified"
-    assert doc["region"]["t_lo"] == 1.0
     from pinchflow.reports import canonical_json
 
-    text = canonical_json(doc)
+    text = canonical_json(rep)
+    doc = json.loads(text)
+    assert doc["verdict"] == "nonpositive_certified"
+    assert doc["t_lo"] == 1.0
     assert '"rational":true' in text  # exact zero bounds survive as rationals
     with pytest.raises(ValueError):
         # a violation without a witness is not a legal report

@@ -5,10 +5,12 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import fields
 
 import pytest
 
 from pinchflow import cli, pinching, speeds
+from pinchflow.certificates import Probe, QReport, ThresholdResult
 from pinchflow.reports import strip_timestamp
 
 
@@ -137,8 +139,8 @@ def test_q_sign_config_file(tmp_path):
 
 
 # sha256 of report files, JSON with its timestamp stripped: the gauss_power
-# reports as written before the other families moved to exact numerators, and
-# a flow's summary and every-step trace as the RKC stepper writes them
+# q-sign and threshold reports, each its record's fields, and a flow's
+# summary and every-step trace as the RKC stepper writes them
 FLOW_ARGV = ("flow", "--family", "mean_power", "--alpha", "1.5", "--a", "2") + (
     "--b", "1", "--n-nodes", "33", "--stop-fraction", "0.2", "--record-every", "1"
 )
@@ -146,28 +148,28 @@ REPORT_SHA256 = [
     (
         ("q-sign", "--family", "gauss_power", "--alpha", "1.5"),
         "qsign.json",
-        "76aa79733f99d1c4e1fa2358d6ff3390f01e90042502bc569204cd75e4a1c6e1",
+        "0b0d9b45606a5955b65603b9f2875a596edb42798a757b063e73dd133c1a765c",
     ),
     (
         ("q-sign", "--family", "gauss_power", "--alpha", "0.4"),
         "qsign.json",
-        "199aa8a149349f6b81bdb6c4cabd384fa7897d98c32467d509247929303c8546",
+        "c71e0de7496f0f35164472514b9434e6a4a8c51dbab3bb548f6ea4026830111b",
     ),
     (
         ("q-sign", "--family", "gauss_power", "--alpha", "2.1"),
         "qsign.json",
-        "979cab435a10f43ebdc970796509b76a6a393d3f90c67a001bcc15ac047d8b3a",
+        "137a86569fb3dd50d7db6fb462c320d757c12e4feb13f7b036a59b8e662636b1",
     ),
     (
         ("q-sign", "--family", "gauss_power", "--alpha", "3.0"),
         "qsign.json",
-        "7769939e028dfe518c18a8ab87ceafcd7b0317cd5f9dc76b2d1de2050e054dc4",
+        "45fd64e1e03b981ffa33174d63ab11c285ef46b7d5ab53dbedb978998df57280",
     ),
     (
         ("threshold", "--family", "gauss_power", "--alpha-lo", "1.5")
         + ("--alpha-hi", "3", "--tol", "0.05"),
         "threshold.json",
-        "230cfceedad97713106c7d79ba91d329704b5d8477d119131ad36ab2e84d2fd5",
+        "5470a319c7f68319421c9c84a7910f94359dc877ffbb41fe113cb9524451cc50",
     ),
     (
         FLOW_ARGV,
@@ -183,7 +185,7 @@ REPORT_SHA256 = [
         ("threshold", "--family", "gauss_power", "--alpha-lo", "1.5")
         + ("--alpha-hi", "3"),
         "threshold.json",
-        "230cfceedad97713106c7d79ba91d329704b5d8477d119131ad36ab2e84d2fd5",
+        "5470a319c7f68319421c9c84a7910f94359dc877ffbb41fe113cb9524451cc50",
     ),
 ]
 
@@ -195,6 +197,42 @@ def test_gauss_report_bytes_pinned(tmp_path, argv, name, digest):
     if name.endswith(".json"):
         text = strip_timestamp(text)
     assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+# --- report fields -----------------------------------------------------------
+
+# (report file, exit code, argv): a certified and a Sturm-violated gauss
+# verdict, the sum_power scan fallback (inconclusive, a `replace` of its sign
+# scan), a threshold search and the identity suites
+REPORT_CASES = [
+    ("qsign.json", 0, ("q-sign", "--family", "gauss_power", "--alpha", "1.5")),
+    ("qsign.json", 1, ("q-sign", "--family", "gauss_power", "--alpha", "0.4")),
+    ("qsign.json", 3, ("q-sign", "--family", "sum_power", "--alpha", "0.38")),
+    (
+        "threshold.json",
+        0,
+        ("threshold", "--family", "gauss_power", "--alpha-lo", "1.5", "--alpha-hi", "3"),
+    ),
+    ("identities.json", 0, ("verify-identities", "--draws", "200")),
+]
+RECORD_FIELDS = {
+    "qsign.json": {f.name for f in fields(QReport)},
+    "threshold.json": {f.name for f in fields(ThresholdResult)},
+    "identities.json": {"suites", "pass"},
+}
+
+
+@pytest.mark.parametrize("name, code, argv", REPORT_CASES)
+def test_report_keys_are_record_fields(tmp_path, name, code, argv):
+    assert invoke(*argv, "--out", str(tmp_path)) == code
+    doc = json.loads((tmp_path / name).read_text())
+    assert set(doc) == RECORD_FIELDS[name] | {"timestamp"}
+    for probe in doc.get("probes", ()):
+        assert set(probe) == set(Probe._fields)
+    for suite in doc.get("suites", ()):
+        assert {"worst_ratio", "bound", "worst_case", "pass"} <= set(suite)
+    if name != "qsign.json":  # the loops above saw a probe or a suite
+        assert doc.get("probes") or doc.get("suites")
 
 
 # --- config files ------------------------------------------------------------
@@ -275,9 +313,9 @@ def test_threshold_gauss(tmp_path, capsys):
     )
     assert code == 0
     doc = json.loads((tmp_path / "threshold.json").read_text())
-    lo, hi = doc["bracket"]
+    lo, hi = doc["alpha_lo"], doc["alpha_hi"]
     assert lo <= 2.0 <= hi
-    assert doc["width"] <= 0.05
+    assert hi - lo <= 0.05
     assert "midpoint" in capsys.readouterr().out
 
 

@@ -64,10 +64,6 @@ def test_timestamp_isolated_single_key():
     assert strip_timestamp(text) == canonical_json(payload) + "\n"
 
 
-def test_timestamp_optional():
-    assert render_report({"a": 1}, timestamp=False) == '{"a":1}\n'
-
-
 def test_trace_csv(tmp_path):
     path = tmp_path / "trace.csv"
     write_trace_csv(path, ("step", "t"), [(0, 0.0), (1, 1 / 3)])
