@@ -37,11 +37,13 @@ COMMANDS = [
     "q-sign --family mean_power --alpha 2.5 --t-max 1e4",
     "q-sign --family mean_power --alpha 6 --t-max 1e4",
     "q-sign --family norm_power --alpha 8 --t-max 1e4",
+    "q-sign --family norm_power --alpha 8.15625",
     "q-sign --family sum_power --alpha 3 --t-max 1e3",
     "q-sign --family sum_power --alpha 0.38",
     "q-sign --family sum_power --alpha 0.3",
     "threshold --family gauss_power --alpha-lo 1.5 --alpha-hi 3 --tol 0.05",
     "threshold --family gauss_power --alpha-lo 1.5 --alpha-hi 3",
+    "threshold --family mean_power --alpha-lo 4 --alpha-hi 6",
     "verify-identities --draws 2000 --seed 0",
     "verify-identities --draws 2000 --seed 7",
     "verify-identities --seed 134",

@@ -4,13 +4,13 @@ threshold search in the homogeneity exponent.
 One exact route for every family: Q1 and Q2 at r = (1, t) are positive
 multiples of polynomial numerators with rational coefficients (any float
 alpha is a dyadic rational), the closed gauss_power numerators or those of
-the power-sum table run over `_Laurent` (`_power_sum_terms`).  A numerator
-in x alone goes to `_certify_numerator`: no positive coefficient after the
-shift x = 1 + u certifies the whole ray at once, else Sturm root counting
-and the leading coefficient beyond the Cauchy bound give the certificate or
-a rational witness.  A sandwich numerator in (x, v) is certified by the
-shift test alone, doubling q up to SANDWICH_Q_MAX; after that a sign scan
-finds a float witness or the verdict is inconclusive.
+the power-sum table run over `_Laurent` (`_power_sum_terms`).  One exact
+test decides them all: `_nonpositive_on`, Descartes' rule of signs on a ray
+or an interval.  A numerator in x alone goes to `_certify_numerator`, which
+runs that test on pieces of the ray, bisected left first, and returns the
+certificate or a rational witness.  A sandwich numerator in (x, v) must pass
+the test on the whole ray, doubling q up to SANDWICH_Q_MAX; after that a
+sign scan finds a float witness or the verdict is inconclusive.
 """
 
 from dataclasses import dataclass, field, replace
@@ -119,151 +119,78 @@ def sign_scan(speed, ratio_grid=None) -> QReport:
 
 
 # ---------------------------------------------------------------------------
-# exact polynomial machinery (descending coefficient lists of Fractions)
+# exact sign decisions (descending coefficient lists, Descartes' rule)
 
-def _trim(p):
-    i = 0
-    while i < len(p) and p[i] == 0:
-        i += 1
-    return p[i:]
+_PIECE_BUDGET = 10000  # pieces `_certify_numerator` tests before giving up
 
 
-def _pderiv(p):
+def _taylor_shift(p, a):
+    """Descending coefficients of p(a + u), p given by descending coefficients."""
+    p = list(p)
     n = len(p) - 1
-    return [c * (n - i) for i, c in enumerate(p[:-1])]
-
-
-def _prem(num, den):
-    num = list(num)
-    while len(num) >= len(den):
-        if num[0] == 0:
-            num.pop(0)
-            continue
-        factor = num[0] / den[0]
-        for i in range(len(den)):
-            num[i] -= factor * den[i]
-        num.pop(0)
-    while num and num[0] == 0:
-        num.pop(0)
-    return num
-
-
-def _sturm_chain(p):
-    chain = [list(p)]
-    d = _trim(_pderiv(p))
-    if d:
-        chain.append(d)
-        while len(chain[-1]) > 1:
-            rem = _prem(chain[-2], chain[-1])
-            if not rem:
-                break
-            chain.append([-c for c in rem])
-    return chain
-
-
-def _variations(chain, x):
-    signs = [v for v in (horner(p, x) for p in chain) if v != 0]
-    return sum(1 for a, b in zip(signs, signs[1:]) if (a > 0) != (b > 0))
-
-
-def _roots_in(chain, a, b):
-    """Number of distinct real roots in (a, b]."""
-    return _variations(chain, a) - _variations(chain, b)
-
-
-def _isolate_roots(chain, a, b, count):
-    out = []
-    stack = [(a, b, count)]
-    guard = 0
-    while stack:
-        lo, hi, c = stack.pop()
-        guard += 1
-        if guard > 10000:
-            raise RuntimeError("root isolation budget exceeded")
-        if c == 0:
-            continue
-        if c == 1:
-            out.append((lo, hi))
-            continue
-        mid = (lo + hi) / 2
-        cl = _roots_in(chain, lo, mid)
-        stack.append((mid, hi, c - cl))
-        stack.append((lo, mid, cl))
-    return sorted(out)
-
-
-def _cauchy_bound(p):
-    lead = p[0]
-    return 1 + max(abs(c / lead) for c in p)
-
-
-def _shift_nonpositive(p):
-    """True when p(1 + u), p given by descending coefficients, has no positive
-    coefficient: then p <= 0 on the whole ray x > 1."""
-    a = list(p)
-    n = len(a) - 1
     for i in range(n):
         for j in range(1, n + 1 - i):
-            a[j] += a[j - 1]
+            p[j] += a * p[j - 1]
+    return p
+
+
+def _nonpositive_on(p, lo, hi=None):
+    """True when no coefficient of (1 + u)^n p((lo + hi u)/(1 + u)), n the
+    length of p less one, is positive: then p <= 0 on [lo, hi], ends included.
+    With hi None the test is on p(lo + u), for the ray x >= lo.  Descartes'
+    rule on an interval (Collins & Akritas, SYMSAC 1976); False decides
+    nothing.  The ends share one denominator d and p becomes d^n p(y/d), so
+    integer coefficients keep every shift in Python ints.
+    """
+    lo = Fraction(lo)
+    d = lo.denominator if hi is None else lcm(lo.denominator, Fraction(hi).denominator)
+    a = _taylor_shift([c * d**i for i, c in enumerate(p)], int(lo * d))
+    if hi is not None:  # p(lo + width s) at s = u/(1 + u), times (1 + u)^n
+        width, n = int((hi - lo) * d), len(a) - 1
+        a = _taylor_shift([c * width ** (n - i) for i, c in enumerate(a)][::-1], 1)
     return all(c <= 0 for c in a)
 
 
-def _certify_numerator(coeffs, t_hi):
-    """Exact verdict for 'polynomial <= 0 on (1, t_hi] and on the tail'.
+def _certify_numerator(coeffs):
+    """Exact verdict for 'polynomial <= 0 on the ray x > 1': None when it
+    holds, else a rational witness x > 1 with a positive value.
 
-    Returns None when both parts hold, else a rational witness point with
-    positive value near the first sign change in (1, hi], hi = max(t_hi,
-    Cauchy bound, 2).  Beyond the Cauchy bound p has the sign of its leading
-    coefficient, so a failing tail already shows as p(hi) > 0.
+    Pieces of (1, inf) go left first.  A piece `_nonpositive_on` passes is
+    done; a piece with a positive midpoint gives the witness, bisected toward
+    the piece's left end to a relative 2^-16; any other piece is halved.  The
+    ray (lo, inf) splits at 2 lo: once lo is past the real part of every
+    root, p(lo + u) has only coefficients of the leading one's sign.
 
-    Soundness: every gap between isolating intervals is root-free, so its
-    midpoint decides its sign; an isolating interval holds exactly one
-    distinct root, so values <= 0 at both of its endpoints force values <= 0
-    throughout (a positive excursion would need two crossings).
+    Trade-off: a tangency (a root of even multiplicity with p <= 0 around it)
+    inside a piece fails the test, so one at a point that is not dyadic halves
+    pieces until the budget raises RuntimeError.  No family numerator has one:
+    N2's double root comes only at the irrational exponent alpha*.
     """
-    p = _trim([Fraction(c) for c in coeffs])
-    one = Fraction(1)
-    if _shift_nonpositive(p):  # what the Sturm count below concludes, sooner
-        return None
-    chain = _sturm_chain(p)
-    bound = _cauchy_bound(p)
-    hi = max(Fraction(t_hi), bound, Fraction(2))
-    count = _roots_in(chain, one, hi)
-    intervals = _isolate_roots(chain, one, hi, count) if count else []
-    edges = [one]
-    for a, b in intervals:
-        edges.extend((a, b))
-    edges.append(hi)
-    probes = [(one, one)]
-    for a, b in zip(edges, edges[1:]):
-        if b > a:
-            probes.append((a, (a + b) / 2))
-        probes.append((a, b))
-    seen = set()
-    for left, x in probes:
-        if x in seen:
+    p = [Fraction(c) for c in coeffs]
+    scale = lcm(*(c.denominator for c in p))
+    p = [int(c * scale) for c in p]
+    pieces = [(Fraction(1), None)]  # a stack, the leftmost piece on top
+    for _ in range(_PIECE_BUDGET):
+        if not pieces:
+            return None
+        lo, hi = pieces.pop()
+        if _nonpositive_on(p, lo, hi):
             continue
-        seen.add(x)
+        if hi is None:
+            pieces += [(2 * lo, None), (lo, 2 * lo)]
+            continue
+        x = (lo + hi) / 2
         if horner(p, x) > 0:
-            # bisect toward the left edge for a witness near the sign change,
-            # staying inside the open region t > 1
-            lo = left
-            for _ in range(60):
-                if x - lo <= x / (1 << 16):
-                    break
+            # everything left of lo is certified: bisect toward the sign change
+            while x - lo > x / (1 << 16):
                 mid = (lo + x) / 2
                 if horner(p, mid) > 0:
                     x = mid
                 else:
                     lo = mid
-            if x > one:
-                return x
-            for k in range(40, 0, -1):  # positive at the left endpoint itself
-                cand = one + (hi - one) / (1 << k)
-                if horner(p, cand) > 0:
-                    return cand
-            raise RuntimeError("positive endpoint without interior witness")
-    return None
+            return x
+        pieces += [(x, hi), (lo, x)]
+    raise RuntimeError("sign decision budget exceeded")
 
 
 # ---------------------------------------------------------------------------
@@ -378,7 +305,7 @@ def certify_nonpositive(family, alpha, t_max=1e6) -> QReport:
     report = partial(
         QReport, family=speed.family, alpha=float(speed.alpha), t_lo=1.0, t_hi=float(t_max)
     )
-    step, q = "sturm_exact(numerators, cauchy tail)", 1
+    step, q = "descartes_exact(numerators, bisected ray)", 1
     if speed.family == "gauss_power":
         n1, n2 = closed_numerators(float(speed.alpha))
         numerators = [[n1], [n2]]
@@ -389,7 +316,7 @@ def certify_nonpositive(family, alpha, t_max=1e6) -> QReport:
             numerators = [term.numerator(q) for term in terms]
             if exact:
                 break
-            if all(_shift_nonpositive(p) for n in numerators for p in n):
+            if all(_nonpositive_on(p, 1) for n in numerators for p in n):
                 step = "shift_exact(sandwich numerators in x, v)"
                 break
             if q == SANDWICH_Q_MAX:
@@ -403,7 +330,7 @@ def certify_nonpositive(family, alpha, t_max=1e6) -> QReport:
     found = []  # (witness x, index of the failing Q_i), x = t^(1/q)
     for which, polys in enumerate(numerators):
         if len(polys) == 1:  # in x alone; sandwich numerators passed above
-            witness = _certify_numerator(polys[0], Fraction(t_max))
+            witness = _certify_numerator(polys[0])
             if witness is not None:
                 found.append((witness, which))
     if not found:

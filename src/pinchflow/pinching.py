@@ -11,7 +11,7 @@ code: `_gdot` and `_g_derivs` (G's derivatives), `_zero_order` (Z),
 `_q_full` (the eight-term Q of the reduction check, floats or float arrays),
 `_gradient_terms_raw` with `_normalize` (the raw Q1/Q2 assembly, any
 family), `_gauss_closed` (the gauss_power closed form in t = r2/r1,
-numerators by `horner`, the evaluator the Sturm certificates use on the
+numerators by `horner`, the evaluator the exact certificates use on the
 same coefficient lists) and `_power_sum_table` (mean, norm and sum power
 derivatives straight from f, not through k: the agreement suite's second
 route, and the certificates').

@@ -6,9 +6,9 @@ differences or sympy, with no reference to the package's analytic
 derivative code — agreement is a genuine cross-check rather than a
 tautology.  Frozen reference values carry their derivations as comments.
 
-The slow references (`reference_flow` and the per-draw identity suites) are
-the code paths the package's fast paths replaced, kept here so the tests
-can require the same results from both.
+The slow references (`reference_flow`, the per-draw identity suites and
+the Sturm-chain sign engine) are the code paths the package's fast paths
+replaced, kept here so the tests can require the same results from both.
 """
 
 import math
@@ -19,6 +19,7 @@ import numpy as np
 from pinchflow.identities import REDUCTION_BOUND, Z_BOUND
 from pinchflow.pinching import (
     gradient_terms_general,
+    horner,
     q_full_reduction_check,
     zero_order_term,
 )
@@ -260,3 +261,154 @@ def reduction_suite_loop(draws=1000, seed=0):
         "worst_case": worst_case,
         "pass": worst <= REDUCTION_BOUND,
     }
+
+
+# --- Sturm-chain sign engine -------------------------------------------------
+# the slow reference for `certificates._certify_numerator`: Sturm root
+# counting on (1, max(t_hi, Cauchy bound, 2)], probes between and at the
+# isolating intervals, and the leading coefficient beyond
+
+
+def _trim(p):
+    i = 0
+    while i < len(p) and p[i] == 0:
+        i += 1
+    return p[i:]
+
+
+def _pderiv(p):
+    n = len(p) - 1
+    return [c * (n - i) for i, c in enumerate(p[:-1])]
+
+
+def _prem(num, den):
+    num = list(num)
+    while len(num) >= len(den):
+        if num[0] == 0:
+            num.pop(0)
+            continue
+        factor = num[0] / den[0]
+        for i in range(len(den)):
+            num[i] -= factor * den[i]
+        num.pop(0)
+    while num and num[0] == 0:
+        num.pop(0)
+    return num
+
+
+def _sturm_chain(p):
+    chain = [list(p)]
+    d = _trim(_pderiv(p))
+    if d:
+        chain.append(d)
+        while len(chain[-1]) > 1:
+            rem = _prem(chain[-2], chain[-1])
+            if not rem:
+                break
+            chain.append([-c for c in rem])
+    return chain
+
+
+def _variations(chain, x):
+    signs = [v for v in (horner(p, x) for p in chain) if v != 0]
+    return sum(1 for a, b in zip(signs, signs[1:]) if (a > 0) != (b > 0))
+
+
+def _roots_in(chain, a, b):
+    """Number of distinct real roots in (a, b]."""
+    return _variations(chain, a) - _variations(chain, b)
+
+
+def _isolate_roots(chain, a, b, count):
+    out = []
+    stack = [(a, b, count)]
+    guard = 0
+    while stack:
+        lo, hi, c = stack.pop()
+        guard += 1
+        if guard > 10000:
+            raise RuntimeError("root isolation budget exceeded")
+        if c == 0:
+            continue
+        if c == 1:
+            out.append((lo, hi))
+            continue
+        mid = (lo + hi) / 2
+        cl = _roots_in(chain, lo, mid)
+        stack.append((mid, hi, c - cl))
+        stack.append((lo, mid, cl))
+    return sorted(out)
+
+
+def _cauchy_bound(p):
+    lead = p[0]
+    return 1 + max(abs(c / lead) for c in p)
+
+
+def _shift_nonpositive(p):
+    """True when p(1 + u), p given by descending coefficients, has no positive
+    coefficient: then p <= 0 on the whole ray x > 1."""
+    a = list(p)
+    n = len(a) - 1
+    for i in range(n):
+        for j in range(1, n + 1 - i):
+            a[j] += a[j - 1]
+    return all(c <= 0 for c in a)
+
+
+def sturm_certify_numerator(coeffs, t_hi):
+    """Exact verdict for 'polynomial <= 0 on (1, t_hi] and on the tail'.
+
+    Returns None when both parts hold, else a rational witness point with
+    positive value near the first sign change in (1, hi], hi = max(t_hi,
+    Cauchy bound, 2).  Beyond the Cauchy bound p has the sign of its leading
+    coefficient, so a failing tail already shows as p(hi) > 0.
+
+    Soundness: every gap between isolating intervals is root-free, so its
+    midpoint decides its sign; an isolating interval holds exactly one
+    distinct root, so values <= 0 at both of its endpoints force values <= 0
+    throughout (a positive excursion would need two crossings).
+    """
+    p = _trim([Fraction(c) for c in coeffs])
+    one = Fraction(1)
+    if _shift_nonpositive(p):  # what the Sturm count below concludes, sooner
+        return None
+    chain = _sturm_chain(p)
+    bound = _cauchy_bound(p)
+    hi = max(Fraction(t_hi), bound, Fraction(2))
+    count = _roots_in(chain, one, hi)
+    intervals = _isolate_roots(chain, one, hi, count) if count else []
+    edges = [one]
+    for a, b in intervals:
+        edges.extend((a, b))
+    edges.append(hi)
+    probes = [(one, one)]
+    for a, b in zip(edges, edges[1:]):
+        if b > a:
+            probes.append((a, (a + b) / 2))
+        probes.append((a, b))
+    seen = set()
+    for left, x in probes:
+        if x in seen:
+            continue
+        seen.add(x)
+        if horner(p, x) > 0:
+            # bisect toward the left edge for a witness near the sign change,
+            # staying inside the open region t > 1
+            lo = left
+            for _ in range(60):
+                if x - lo <= x / (1 << 16):
+                    break
+                mid = (lo + x) / 2
+                if horner(p, mid) > 0:
+                    x = mid
+                else:
+                    lo = mid
+            if x > one:
+                return x
+            for k in range(40, 0, -1):  # positive at the left endpoint itself
+                cand = one + (hi - one) / (1 << k)
+                if horner(p, cand) > 0:
+                    return cand
+            raise RuntimeError("positive endpoint without interior witness")
+    return None

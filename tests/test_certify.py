@@ -20,7 +20,7 @@ from pinchflow import (
     log_ratio_grid,
     sign_scan,
 )
-from pinchflow.certificates import _power_sum_terms
+from pinchflow.certificates import _certify_numerator, _nonpositive_on, _power_sum_terms
 from pinchflow.pinching import (
     _gdot,
     _gradient_terms_raw,
@@ -28,6 +28,7 @@ from pinchflow.pinching import (
     _power_sum_p,
     _power_sum_table,
     _raw_arrays,
+    closed_numerators,
     horner,
 )
 
@@ -134,8 +135,66 @@ def test_certify_power_sum_ladder(family, alpha, verdict):
     assert rep.witness_q > 0
     q1, q2 = q_reference(family, alpha, rep.witness_t)
     assert max(q1, q2) == pytest.approx(rep.witness_q, rel=1e-9)
-    # an exact Sturm witness covers the tail; sum_power 0.3 is a scan witness
+    # an exact witness covers the tail; sum_power 0.3 is a scan witness
     assert rep.tail == ("none" if family == "sum_power" else "certified")
+
+
+def grid_numerators():
+    """(family, alpha, numerator) for every numerator in x alone on a grid:
+    gauss at k/16 up to 6, mean and norm at k/4 up to 12, sum at 1 to 20."""
+    grid = [("gauss_power", k / 16) for k in range(1, 97)]
+    grid += [(f, k / 4) for f in ("mean_power", "norm_power") for k in range(1, 49)]
+    grid += [("sum_power", float(k)) for k in range(1, 21)]
+    for family, alpha in grid:
+        if family == "gauss_power":
+            numerators = closed_numerators(alpha)
+        else:
+            terms, exact = _power_sum_terms(SpeedFunction(family, alpha), 1)
+            assert exact
+            numerators = [term.numerator(1)[0] for term in terms]
+        for coeffs in numerators:
+            yield family, alpha, coeffs
+
+
+def test_descartes_matches_sturm_reference():
+    # the bisected-ray decision against the Sturm engine it replaced
+    violated = 0
+    for family, alpha, coeffs in grid_numerators():
+        old = oracles.sturm_certify_numerator(coeffs, Fraction(10**6))
+        new = _certify_numerator(coeffs)
+        assert (old is None) == (new is None), (family, alpha)
+        if new is not None:
+            violated += 1
+            assert new > 1 and horner(coeffs, new) > 0, (family, alpha)
+            assert abs(new - old) <= old / 2**15, (family, alpha)
+    assert violated  # gauss, mean and norm cross their thresholds on the grid
+
+
+def test_nonpositive_on_intervals_and_rays():
+    assert _nonpositive_on([1, -3], 1, 3)  # x - 3 <= 0 on [1, 3]
+    assert not _nonpositive_on([1, -3], 1, 4)
+    assert _nonpositive_on([1, -3], Fraction(1, 3), Fraction(5, 2))
+    assert not _nonpositive_on([1, -3], 3)  # p(3 + u) = u
+    assert _nonpositive_on([-1, 4, -4], 2)  # -(x - 2)^2 from its root on
+    assert _nonpositive_on([], 1)
+
+
+def test_certify_numerator_double_root_at_one():
+    # 3 (x - 1)^2 (x^3 - 3x - 3), positive past the cubic's root near 2.1
+    coeffs = [3, -6, -6, 9, 9, -9]
+    witness = _certify_numerator(coeffs)
+    assert witness > 1 and horner(coeffs, witness) > 0
+
+
+def test_certify_numerator_dyadic_tangency():
+    assert _certify_numerator([-1, 4, -4]) is None  # -(x - 2)^2
+
+
+def test_certify_numerator_tangency_off_dyadic_exhausts_budget():
+    # -(3x - 7)^2: no piece around 7/3 passes Descartes' rule and no midpoint
+    # is positive, so the search gives up rather than decide
+    with pytest.raises(RuntimeError):
+        _certify_numerator([-9, 42, -49])
 
 
 @pytest.mark.parametrize(

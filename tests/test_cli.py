@@ -148,28 +148,28 @@ REPORT_SHA256 = [
     (
         ("q-sign", "--family", "gauss_power", "--alpha", "1.5"),
         "qsign.json",
-        "0b0d9b45606a5955b65603b9f2875a596edb42798a757b063e73dd133c1a765c",
+        "e43c72231c08bdd7a7e1dc39052c58af6d4d71eb418a229e9c9fcdf8b38b65fb",
     ),
     (
         ("q-sign", "--family", "gauss_power", "--alpha", "0.4"),
         "qsign.json",
-        "c71e0de7496f0f35164472514b9434e6a4a8c51dbab3bb548f6ea4026830111b",
+        "b6dcd7419da77e168469afb605b83350306b30942528f4763c7afe39e236fce4",
     ),
     (
         ("q-sign", "--family", "gauss_power", "--alpha", "2.1"),
         "qsign.json",
-        "137a86569fb3dd50d7db6fb462c320d757c12e4feb13f7b036a59b8e662636b1",
+        "a2adc2a851a3271fe4f22b4d2aa6ed93a47dd4c273185220abb03c27340a3fb7",
     ),
     (
         ("q-sign", "--family", "gauss_power", "--alpha", "3.0"),
         "qsign.json",
-        "45fd64e1e03b981ffa33174d63ab11c285ef46b7d5ab53dbedb978998df57280",
+        "8bdfad29862de49aa210946e0ca0658e0f3a961492bf3523277c1a1d4c414c47",
     ),
     (
         ("threshold", "--family", "gauss_power", "--alpha-lo", "1.5")
         + ("--alpha-hi", "3", "--tol", "0.05"),
         "threshold.json",
-        "5470a319c7f68319421c9c84a7910f94359dc877ffbb41fe113cb9524451cc50",
+        "51492d8081335dffddfb0c57527b49df3d78a7d6a0b7060ac3e9959e9e57fc73",
     ),
     (
         FLOW_ARGV,
@@ -185,7 +185,7 @@ REPORT_SHA256 = [
         ("threshold", "--family", "gauss_power", "--alpha-lo", "1.5")
         + ("--alpha-hi", "3"),
         "threshold.json",
-        "5470a319c7f68319421c9c84a7910f94359dc877ffbb41fe113cb9524451cc50",
+        "51492d8081335dffddfb0c57527b49df3d78a7d6a0b7060ac3e9959e9e57fc73",
     ),
 ]
 
@@ -201,7 +201,7 @@ def test_gauss_report_bytes_pinned(tmp_path, argv, name, digest):
 
 # --- report fields -----------------------------------------------------------
 
-# (report file, exit code, argv): a certified and a Sturm-violated gauss
+# (report file, exit code, argv): a certified and an exactly violated gauss
 # verdict, the sum_power scan fallback (inconclusive, a `replace` of its sign
 # scan), a threshold search and the identity suites
 REPORT_CASES = [

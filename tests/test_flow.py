@@ -351,6 +351,11 @@ def test_run_convexity_loss_partial_trace():
     assert mono["monotone"] == dict.fromkeys(columns, False)
 
 
+def test_monotone_tol_is_criterion_7_bound():
+    # summary.json's "monotone" flags and criterion 7 judge the same drift
+    assert flowmod.MONOTONE_TOL == 1e-3
+
+
 def test_run_dt_halving_abort_keeps_every_record(monkeypatch):
     cfg = FlowConfig("gauss_power", 2.0, a=2.0, b=1.0, n_nodes=33, record_every=1)
     full = run(dataclasses.replace(cfg, max_steps=100))
