@@ -28,6 +28,12 @@ COMMANDS = [
     f"flow --family sum_power --alpha 2.5 {FLOW}",
     "flow --family gauss_power --alpha 1 --a 1 --b 1 --n-nodes 33"
     " --stop-fraction 0.2",
+    "flow --family mean_power --alpha 1 --a 1 --b 1 --n-nodes 33"
+    " --stop-fraction 0.2",
+    "flow --family norm_power --alpha 1 --a 1 --b 1 --n-nodes 33"
+    " --stop-fraction 0.2",
+    "flow --family sum_power --alpha 2 --a 1 --b 1 --n-nodes 33"
+    " --stop-fraction 0.2",
     "flow --family norm_power --alpha 2 --a 2 --b 1 --n-nodes 201"
     " --max-steps 3000 --record-every 1",
     "q-sign --family gauss_power --alpha 1.5",

@@ -9,6 +9,7 @@ from .errors import (
     DomainError,
     PoleError,
     ResolutionError,
+    SignBudgetError,
     StepRejectedError,
     UmbilicError,
 )

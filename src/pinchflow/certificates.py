@@ -21,7 +21,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .errors import BracketError, DomainError
+from .errors import BracketError, DomainError, SignBudgetError
 from .pinching import (
     _closed_q,
     _gradient_terms_raw,
@@ -163,7 +163,7 @@ def _certify_numerator(coeffs):
 
     Trade-off: a tangency (a root of even multiplicity with p <= 0 around it)
     inside a piece fails the test, so one at a point that is not dyadic halves
-    pieces until the budget raises RuntimeError.  No family numerator has one:
+    pieces until the budget raises SignBudgetError.  No family numerator has one:
     N2's double root comes only at the irrational exponent alpha*.
     """
     p = [Fraction(c) for c in coeffs]
@@ -190,7 +190,7 @@ def _certify_numerator(coeffs):
                     lo = mid
             return x
         pieces += [(x, hi), (lo, x)]
-    raise RuntimeError("sign decision budget exceeded")
+    raise SignBudgetError(f"sign decision undecided after {_PIECE_BUDGET} pieces")
 
 
 # ---------------------------------------------------------------------------
@@ -287,7 +287,7 @@ def _q_at(speed, t):
         return mpmath.mpf(c.numerator) / c.denominator
 
     with mpmath.workprec(150):
-        return [float(q) for q in _closed_q(speed, mpf(t), mpf)]
+        return [float(q) for q in _closed_q(speed.family, float(speed.alpha), mpf(t), mpf)]
 
 
 def certify_nonpositive(family, alpha, t_max=1e6) -> QReport:

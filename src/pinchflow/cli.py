@@ -23,6 +23,7 @@ from .errors import (
     ConvexityLossError,
     DomainError,
     ResolutionError,
+    SignBudgetError,
 )
 from .speeds import FAMILIES
 
@@ -356,6 +357,9 @@ def main(argv=None):
     except (ConfigError, BracketError, DomainError, ResolutionError) as err:
         print(f"config error: {err}", file=sys.stderr)
         return EXIT_CONFIG
+    except SignBudgetError as err:
+        print(f"numeric error: {err}", file=sys.stderr)
+        return EXIT_NUMERIC
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -37,6 +37,10 @@ class StepRejectedError(RuntimeError):
     """A time step produced an invalid profile; the caller should halve dt."""
 
 
+class SignBudgetError(RuntimeError):
+    """An exact sign decision ran out of pieces before it could decide."""
+
+
 class BracketError(ValueError):
     """Threshold search range does not bracket a verdict change."""
 

@@ -476,7 +476,7 @@ class FlowTrace:
         }
         cfg = self.config
         if cfg.a == cfg.b:
-            out["sphere_t_exact"] = sphere_extinction_time(cfg.a, cfg.alpha)
+            out["sphere_t_exact"] = sphere_extinction_time(cfg.a, cfg.speed())
         return out
 
 
@@ -589,21 +589,31 @@ def run(config: FlowConfig, profile=None) -> FlowTrace:
         trace.extinction_low_confidence = est.low_confidence
         if t < est.t_extinct:
             trace.deviation = rescale_deviation(
-                final, est.t_extinct, t, alpha, q=est.center_z
+                final, est.t_extinct, t, speed, q=est.center_z
             )
     return trace
 
 
-def sphere_radius_law(rho0, alpha, t):
+def _sphere_law(speed):
+    """alpha + 1 and the rate (alpha + 1) c^-alpha at which rho^(alpha+1)
+    falls on a round sphere, where k = c rho with c = k(1, 1) (1 for gauss)."""
+    alpha = float(speed.alpha)
+    c = float(_k_derivs(speed.family, alpha, 1.0, 1.0, order=0))
+    return alpha + 1.0, (alpha + 1.0) * c**-alpha
+
+
+def sphere_radius_law(rho0, speed, t):
     """Exact shrinking-sphere radius: rho^(alpha+1) decreases linearly."""
-    val = rho0 ** (alpha + 1.0) - (alpha + 1.0) * t
+    power, rate = _sphere_law(speed)
+    val = rho0**power - rate * t
     if val <= 0:
         raise DomainError("time at or beyond extinction")
-    return val ** (1.0 / (alpha + 1.0))
+    return val ** (1.0 / power)
 
 
-def sphere_extinction_time(rho0, alpha):
-    return rho0 ** (alpha + 1.0) / (alpha + 1.0)
+def sphere_extinction_time(rho0, speed):
+    power, rate = _sphere_law(speed)
+    return rho0**power / rate
 
 
 @dataclass(frozen=True)
@@ -650,13 +660,14 @@ def extinction_estimate(trace: FlowTrace) -> ExtinctionEstimate:
     )
 
 
-def rescale_deviation(profile, t_extinct, t, alpha, q=0.0):
+def rescale_deviation(profile, t_extinct, t, speed, q=0.0):
     """max |s~ - 1| of the profile recentered at the axial point q and
-    rescaled by the exact shrinking-sphere radius with extinction at
-    t_extinct."""
+    rescaled by the exact shrinking-sphere radius under `speed` with
+    extinction at t_extinct."""
     if not t < t_extinct:
         raise DomainError(f"t={t} is at or beyond extinction {t_extinct}")
-    rho = ((alpha + 1.0) * (t_extinct - t)) ** (1.0 / (alpha + 1.0))
+    power, rate = _sphere_law(speed)
+    rho = (rate * (t_extinct - t)) ** (1.0 / power)
     recentered = profile.s - q * np.cos(profile.theta)
     return float(np.max(np.abs(recentered / rho - 1.0)))
 

@@ -129,9 +129,10 @@ def gradient_terms_general(speed: SpeedFunction, r: RadiiPoint):
     return _normalize(q1, q2, g1, g2, fd.f)
 
 
-def _raw_arrays(speed: SpeedFunction, t):
-    """(Q1, Q2) at r = (1, t) from the raw assembly, for a float array t > 1."""
-    fd = _f_derivs(speed.family, float(speed.alpha), np.ones_like(t), t)
+def _raw_arrays(family, alpha, t):
+    """(Q1, Q2) at r = (1, t) from the raw assembly, for a float array t > 1
+    and a float alpha or a column of them broadcast against t."""
+    fd = _f_derivs(family, alpha, np.ones_like(t), t)
     return _normalize(*_gradient_terms_raw(fd, t - 1.0), fd[0])
 
 
@@ -144,9 +145,10 @@ def _power_sum_table(alpha, p, a1, a2, c1, c2):
     times the scale S^(2 - alpha/p) > 0 (S^(1 - alpha/p) = 1 when alpha = p):
     with u_i = a_i c_i and v_i = u_i c_i, f -> -S^2, f_i -> alpha u_i S and
     f_ij -> -alpha (alpha - p) u_i u_j - delta_ij alpha (p + 1) v_i S.  The raw
-    Q has degree 4 in (f, fdot, fddot), so the scale keeps its sign."""
+    Q has degree 4 in (f, fdot, fddot), so the scale keeps its sign.  An
+    alpha column must take one side of the alpha == p test in every row."""
     s = a1 + a2
-    m = 1 if alpha == p else s
+    m = 1 if np.all(alpha == p) else s
     u1, u2 = a1 * c1, a2 * c2
     cross, diag = alpha * (alpha - p), alpha * (p + 1) * m
     f11 = -cross * u1 * u1 - diag * u1 * c1
@@ -154,16 +156,16 @@ def _power_sum_table(alpha, p, a1, a2, c1, c2):
     return -s * m, alpha * u1 * m, alpha * u2 * m, f11, -cross * u1 * u2, f22
 
 
-def _power_sum_q(speed: SpeedFunction, t):
+def _power_sum_q(family, alpha, t):
     """(Q1, Q2) at r = (1, t) from the power-sum table, its scale divided out,
-    normalized like gradient_terms_general; t a float array or mpmath number."""
-    alpha = float(speed.alpha)
-    p = _power_sum_p(speed.family, alpha)
+    normalized like gradient_terms_general; t a float array or mpmath number,
+    alpha a float or a column of them on one side of alpha == p."""
+    p = _power_sum_p(family, alpha)
     c2 = 1 / t
     a2 = c2**p
     fd = _power_sum_table(alpha, p, 1, a2, 1, c2)
     q1, q2 = _normalize(*_gradient_terms_raw(fd, t - 1), fd[0])
-    scale = 1 if alpha == p else (1 + a2) ** (2 - alpha / p)
+    scale = 1 if np.all(alpha == p) else (1 + a2) ** (2 - alpha / p)
     return q1 / scale, q2 / scale
 
 
@@ -203,7 +205,11 @@ def _gauss_closed(a, t, scalar):
     converts the exact numerator coefficients.  d1 = a (t - 1) + 2 > 0 on
     t > 1, while d2 vanishes at t = a / (a - 2) when a > 2.
     """
-    n1, n2 = ([scalar(c) for c in n] for n in closed_numerators(a))
+    if np.ndim(a):  # an alpha column: a float column per coefficient
+        numerators = zip(*map(closed_numerators, a.ravel()))
+        n1, n2 = (list(np.array(n, float).T[..., None]) for n in numerators)
+    else:
+        n1, n2 = ([scalar(c) for c in n] for n in closed_numerators(a))
     d1 = a * t + (2 - a)
     d2 = a + (2 - a) * t
     common = 2 * a / (t ** (a / 2 + 2) * (t - 1))
@@ -304,16 +310,17 @@ def pinching_quantity(r: RadiiPoint, alpha):
 def gradient_terms_general_arrays(speed: SpeedFunction, t):
     """Vectorized (Q1, Q2) at r = (1, t) for a numpy array t > 1, normalized
     like gradient_terms_general.  Used by the scanners."""
-    return _closed_q(speed, np.asarray(t, dtype=float))
+    return _closed_q(speed.family, float(speed.alpha), np.asarray(t, dtype=float))
 
 
-def _closed_q(speed: SpeedFunction, t, scalar=float):
+def _closed_q(family, alpha, t, scalar=float):
     """(Q1, Q2) at r = (1, t), t a float array or an mpmath number, through a
     route that does not use k: the closed gauss polynomial, its coefficients
     converted by `scalar` (the raw assembly loses its sign to cancellation at
     large t when the second normalizing factor degenerates, alpha near 2),
-    or the power-sum table.  The agreement suite compares them with
-    `_raw_arrays`; the certificates' witnesses evaluate them at 150 bits."""
-    if speed.family == "gauss_power":
-        return _gauss_closed(float(speed.alpha), t, scalar)
-    return _power_sum_q(speed, t)
+    or the power-sum table.  alpha is a float, or a float column broadcast
+    against t.  The agreement suite compares them with `_raw_arrays`; the
+    certificates' witnesses evaluate them at 150 bits."""
+    if family == "gauss_power":
+        return _gauss_closed(alpha, t, scalar)
+    return _power_sum_q(family, alpha, t)

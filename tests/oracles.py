@@ -6,9 +6,10 @@ differences or sympy, with no reference to the package's analytic
 derivative code — agreement is a genuine cross-check rather than a
 tautology.  Frozen reference values carry their derivations as comments.
 
-The slow references (`reference_flow`, the per-draw identity suites and
-the Sturm-chain sign engine) are the code paths the package's fast paths
-replaced, kept here so the tests can require the same results from both.
+The slow references (`reference_flow`, the per-draw and per-alpha identity
+suites and the Sturm-chain sign engine) are the code paths the package's
+fast paths replaced, kept here so the tests can require the same results
+from both.
 """
 
 import math
@@ -16,9 +17,11 @@ from fractions import Fraction
 
 import numpy as np
 
-from pinchflow.identities import REDUCTION_BOUND, Z_BOUND
+from pinchflow.identities import AGREEMENT_BOUND, REDUCTION_BOUND, Z_BOUND
 from pinchflow.pinching import (
+    _raw_arrays,
     gradient_terms_general,
+    gradient_terms_general_arrays,
     horner,
     q_full_reduction_check,
     zero_order_term,
@@ -112,12 +115,19 @@ def ellipsoid_radii_closed(a, b, theta):
     return (a * a * b * b) / s**3, (b * b) / s
 
 
-def sphere_radius_oracle(rho0, alpha, t):
-    return (rho0 ** (alpha + 1.0) - (alpha + 1.0) * t) ** (1.0 / (alpha + 1.0))
+def sphere_rate_oracle(alpha, family="gauss_power"):
+    """(alpha + 1) |speed| of the unit sphere: the rate at which
+    rho^(alpha+1) falls, since the speed is homogeneous of degree -alpha."""
+    return (alpha + 1.0) * -speed_value(family, alpha, 1.0, 1.0)
 
 
-def sphere_time_oracle(rho0, alpha):
-    return rho0 ** (alpha + 1.0) / (alpha + 1.0)
+def sphere_radius_oracle(rho0, alpha, t, family="gauss_power"):
+    rate = sphere_rate_oracle(alpha, family)
+    return (rho0 ** (alpha + 1.0) - rate * t) ** (1.0 / (alpha + 1.0))
+
+
+def sphere_time_oracle(rho0, alpha, family="gauss_power"):
+    return rho0 ** (alpha + 1.0) / sphere_rate_oracle(alpha, family)
 
 
 def cfl_dt(dtheta, safety, fdot_sum_max):
@@ -260,6 +270,35 @@ def reduction_suite_loop(draws=1000, seed=0):
         "bound": REDUCTION_BOUND,
         "worst_case": worst_case,
         "pass": worst <= REDUCTION_BOUND,
+    }
+
+
+def closed_agreement_suite_loop(n_t=64, n_alpha=64):
+    """identities.closed_agreement_suite one alpha at a time, each row's
+    worst t first: the slow reference for its grid evaluation."""
+    t = np.geomspace(1e3 ** (1.0 / n_t), 1e3, n_t)
+    worst = 0.0
+    worst_case = None
+    for family in FAMILIES:
+        for alpha in np.linspace(0.5, 2.0, n_alpha):
+            speed = SpeedFunction(family, float(alpha))
+            q1r, q2r = _raw_arrays(family, float(alpha), t)
+            q1c, q2c = gradient_terms_general_arrays(speed, t)
+            for raw, closed, tag in ((q1r, q1c, "q1"), (q2r, q2c, "q2")):
+                rel = np.abs(raw - closed) / np.abs(closed)
+                i = int(np.argmax(rel))
+                if rel[i] > worst:
+                    worst = float(rel[i])
+                    worst_case = dict(
+                        family=family, alpha=float(alpha), t=float(t[i]), side=tag
+                    )
+    return {
+        "suite": "closed_agreement",
+        "grid": [n_t, n_alpha],
+        "worst_ratio": worst,
+        "bound": AGREEMENT_BOUND,
+        "worst_case": worst_case,
+        "pass": worst <= AGREEMENT_BOUND,
     }
 
 

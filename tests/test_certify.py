@@ -11,6 +11,7 @@ from pinchflow import (
     BracketError,
     DomainError,
     RadiiPoint,
+    SignBudgetError,
     SpeedFunction,
     certify_nonpositive,
     closed_numerator_coeffs,
@@ -193,7 +194,7 @@ def test_certify_numerator_dyadic_tangency():
 def test_certify_numerator_tangency_off_dyadic_exhausts_budget():
     # -(3x - 7)^2: no piece around 7/3 passes Descartes' rule and no midpoint
     # is positive, so the search gives up rather than decide
-    with pytest.raises(RuntimeError):
+    with pytest.raises(SignBudgetError):
         _certify_numerator([-9, 42, -49])
 
 
@@ -211,7 +212,7 @@ def test_ring_numerators_match_raw_arrays(family, alpha):
     fd = _power_sum_table(alpha, p, 1.0, t**-p, 1.0, 1 / t)
     g = _gdot(fd, t - 1)
     scale = 1.0 if alpha == p else (1 + t**-p) ** (2 - alpha / p)
-    for term, g_i, q_i in zip(terms, g, _raw_arrays(speed, t)):
+    for term, g_i, q_i in zip(terms, g, _raw_arrays(family, alpha, t)):
         (coeffs,) = term.numerator(1)
         k = min(w for _, _, w in term.terms)
         n = horner([float(c) for c in coeffs], t) * (t - 1) ** k

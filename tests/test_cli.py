@@ -9,7 +9,7 @@ from dataclasses import fields
 
 import pytest
 
-from pinchflow import cli, pinching, speeds
+from pinchflow import certificates, cli, pinching, speeds
 from pinchflow.certificates import Probe, QReport, ThresholdResult
 from pinchflow.reports import strip_timestamp
 
@@ -98,6 +98,19 @@ def test_q_sign_report_file(tmp_path):
     assert doc["family"] == "gauss_power"
 
 
+def test_sign_budget_exhaustion_exits_numeric(tmp_path, capsys, monkeypatch):
+    # gauss 2.1's numerator is positive far out, so its first piece, the whole
+    # ray, fails Descartes' rule and a one-piece budget runs out
+    monkeypatch.setattr(certificates, "_PIECE_BUDGET", 1)
+    argv = ("--family", "gauss_power", "--out", str(tmp_path))
+    assert invoke("q-sign", "--alpha", "2.1", *argv) == cli.EXIT_NUMERIC
+    err = capsys.readouterr().err
+    assert err.startswith("numeric error:") and err.count("\n") == 1
+    assert not (tmp_path / "qsign.json").exists()
+    code = invoke("threshold", "--alpha-lo", "1.5", "--alpha-hi", "3", *argv)
+    assert code == cli.EXIT_NUMERIC
+
+
 def test_q_sign_deterministic_bytes(tmp_path):
     d1, d2 = tmp_path / "r1", tmp_path / "r2"
     for d in (d1, d2):
@@ -174,7 +187,7 @@ REPORT_SHA256 = [
     (
         FLOW_ARGV,
         "summary.json",
-        "e4526d728279bf5b4d29d35048dff2a6758810005c4fb9bfb2a0ba899697203e",
+        "3ee813d271a368d40796f7a737f03602d6214cc75ddea49039c92c0dc1c4453a",
     ),
     (
         FLOW_ARGV,

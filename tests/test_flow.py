@@ -427,10 +427,49 @@ def test_run_times_strictly_increase():
 
 
 def test_sphere_laws():
-    assert sphere_extinction_time(1.0, 2.0) == pytest.approx(1.0 / 3.0)
-    assert sphere_radius_law(1.0, 2.0, 0.0) == 1.0
+    gauss = SpeedFunction("gauss_power", 2.0)
+    assert sphere_extinction_time(1.0, gauss) == pytest.approx(1.0 / 3.0)
+    assert sphere_radius_law(1.0, gauss, 0.0) == 1.0
     with pytest.raises(DomainError):
-        sphere_radius_law(1.0, 2.0, 1.0)
+        sphere_radius_law(1.0, gauss, 1.0)
+    # k(1, 1) = 1/2 for mean_power: the unit sphere moves at H^2 = 4
+    mean = SpeedFunction("mean_power", 2.0)
+    assert sphere_extinction_time(1.0, mean) == pytest.approx(1.0 / 12.0)
+
+
+# one exponent per family; sum_power 1 would be mean_power 1 again
+SPHERE_CASES = [("gauss_power", 1.0), ("mean_power", 1.0), ("norm_power", 1.0), ("sum_power", 2.0)]
+
+
+@pytest.mark.parametrize("family, alpha", SPHERE_CASES)
+def test_sphere_laws_match_oracle(family, alpha):
+    speed = SpeedFunction(family, alpha)
+    t_ext = oracles.sphere_time_oracle(1.5, alpha, family)
+    assert sphere_extinction_time(1.5, speed) == pytest.approx(t_ext, rel=1e-14)
+    for t in (0.0, 0.3 * t_ext, 0.9 * t_ext):
+        assert sphere_radius_law(1.5, speed, t) == pytest.approx(
+            oracles.sphere_radius_oracle(1.5, alpha, t, family), rel=1e-14
+        )
+
+
+@pytest.mark.parametrize("family, alpha", SPHERE_CASES)
+def test_run_round_sphere_every_family(family, alpha):
+    # a round start stays round, so its records follow the family's own law
+    # and its rescaled deviation is the stepping error, not 2^(1/4) - 1 or
+    # sqrt(2) - 1 as under the gauss law
+    cfg = FlowConfig(family, alpha, a=1.0, b=1.0, n_nodes=33, stop_fraction=0.1)
+    trace = run(cfg)
+    assert trace.status == "extinct_fraction"
+    worst = 0.0
+    for rec in trace.records:
+        rho = oracles.sphere_radius_oracle(1.0, alpha, rec.t, family)
+        err = max(abs(rec.min_support - rho), abs(rec.max_support - rho)) / rho
+        worst = max(worst, err)
+    assert worst <= 1e-3
+    t_exact = oracles.sphere_time_oracle(1.0, alpha, family)
+    assert trace.summary_dict()["sphere_t_exact"] == pytest.approx(t_exact, rel=1e-14)
+    assert trace.t_extinct == pytest.approx(t_exact, rel=1e-3)
+    assert trace.deviation <= 1e-5
 
 
 def test_extinction_estimate_low_confidence_flag():
@@ -442,26 +481,27 @@ def test_extinction_estimate_low_confidence_flag():
 
 
 def test_rescale_deviation_frozen():
-    alpha = 2.0
-    t_ext = sphere_extinction_time(1.0, alpha)
+    speed = SpeedFunction("gauss_power", 2.0)
+    t_ext = sphere_extinction_time(1.0, speed)
     p0 = sphere_support(1.0, 101)
-    assert rescale_deviation(p0, t_ext, 0.0, alpha) <= 1e-12
+    assert rescale_deviation(p0, t_ext, 0.0, speed) <= 1e-12
     # exact sphere at mid-flow
     t = 0.2
-    rho = sphere_radius_law(1.0, alpha, t)
+    rho = sphere_radius_law(1.0, speed, t)
     pt = sphere_support(rho, 101)
-    assert rescale_deviation(pt, t_ext, t, alpha) <= 1e-6
+    assert rescale_deviation(pt, t_ext, t, speed) <= 1e-6
     with pytest.raises(DomainError):
-        rescale_deviation(p0, t_ext, t_ext, alpha)
+        rescale_deviation(p0, t_ext, t_ext, speed)
 
 
 def test_rescale_deviation_recentering():
     theta = _make_grid(101)
     q = 0.25
     prof = SupportProfile(theta=theta, s=0.8 + q * np.cos(theta), time=0.0)
-    t_ext = sphere_extinction_time(0.8, 1.0)
-    centered = rescale_deviation(prof, t_ext, 0.0, 1.0, q=q)
-    off = rescale_deviation(prof, t_ext, 0.0, 1.0, q=0.0)
+    speed = SpeedFunction("gauss_power", 1.0)
+    t_ext = sphere_extinction_time(0.8, speed)
+    centered = rescale_deviation(prof, t_ext, 0.0, speed, q=q)
+    off = rescale_deviation(prof, t_ext, 0.0, speed, q=0.0)
     assert centered <= 1e-12
     assert off > 0.1
 

@@ -1,10 +1,18 @@
-"""The identity suites' array evaluation against the per-draw reference."""
+"""The identity suites' array evaluation against the per-draw and
+per-alpha references."""
 
+import numpy as np
 import pytest
 
-from pinchflow.identities import reduction_suite, z_residual_suite
+from pinchflow.identities import (
+    _agreement_grid,
+    closed_agreement_suite,
+    reduction_suite,
+    z_residual_suite,
+)
+from pinchflow.pinching import _raw_arrays, gradient_terms_general_arrays
 from pinchflow.reports import canonical_json
-from pinchflow.speeds import FAMILIES
+from pinchflow.speeds import FAMILIES, SpeedFunction
 
 import oracles
 
@@ -46,3 +54,25 @@ def test_suites_with_empty_families(draws):
         res = suite(draws=draws, seed=12345)
         assert res["worst_case"]["family"] in FAMILIES[:draws]
         assert canonical_json(res) == canonical_json(reference(draws=draws, seed=12345))
+
+
+def test_closed_agreement_matches_per_alpha_reference():
+    got = canonical_json(closed_agreement_suite(n_t=64, n_alpha=64))
+    assert got == canonical_json(oracles.closed_agreement_suite_loop(n_t=64, n_alpha=64))
+
+
+@pytest.mark.parametrize("n_t,n_alpha", [(64, 64), (16, 7), (5, 64), (3, 1)])
+def test_closed_agreement_grid_entries_match_per_alpha(n_t, n_alpha):
+    # a broadcast exponent column misses numpy's scalar-exponent fast paths
+    # (reciprocal, sqrt, square), so rows with alpha in {0.5, 1, 1.5, 2} can
+    # differ from the per-alpha route in the last bits, not beyond
+    t = np.geomspace(1e3 ** (1.0 / n_t), 1e3, n_t)
+    alpha = np.linspace(0.5, 2.0, n_alpha)
+    for family in FAMILIES:
+        raw, closed = _agreement_grid(family, alpha[:, None], t)
+        for row, a in enumerate(alpha):
+            speed = SpeedFunction(family, float(a))
+            expected = _raw_arrays(family, float(a), t)
+            np.testing.assert_allclose(raw[row], expected, rtol=1e-14)
+            expected = gradient_terms_general_arrays(speed, t)
+            np.testing.assert_allclose(closed[row], expected, rtol=1e-14)
