@@ -50,6 +50,9 @@ COMMANDS = [
     "threshold --family gauss_power --alpha-lo 1.5 --alpha-hi 3 --tol 0.05",
     "threshold --family gauss_power --alpha-lo 1.5 --alpha-hi 3",
     "threshold --family mean_power --alpha-lo 4 --alpha-hi 6",
+    "threshold --family norm_power --alpha-lo 7 --alpha-hi 9",
+    "q-sign --family mean_power --alpha 1",
+    "q-sign --family norm_power --alpha 2",
     "verify-identities --draws 2000 --seed 0",
     "verify-identities --draws 2000 --seed 7",
     "verify-identities --seed 134",

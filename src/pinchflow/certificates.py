@@ -4,8 +4,11 @@ threshold search in the homogeneity exponent.
 One exact route for every family: Q1 and Q2 at r = (1, t) are positive
 multiples of polynomial numerators with rational coefficients (any float
 alpha is a dyadic rational), the closed gauss_power numerators or those of
-the power-sum table run over `_Laurent` (`_power_sum_terms`).  One exact
-test decides them all: `_nonpositive_on`, Descartes' rule of signs on a ray
+the power-sum table run over `_Laurent` (`_power_sum_terms`).  mean_power
+and norm_power read theirs from one table per family, built once with alpha
+a formal symbol (`_alpha_table`, at most cubic in alpha), and each probe
+substitutes its exponent; sum_power, whose t^-alpha moves with alpha,
+builds them at each exponent.  One exact test decides them all: `_nonpositive_on`, Descartes' rule of signs on a ray
 or an interval.  A numerator in x alone goes to `_certify_numerator`, which
 runs that test on pieces of the ray, bisected left first, and returns the
 certificate or a rational witness.  A sandwich numerator in (x, v) must pass
@@ -15,8 +18,8 @@ sign scan finds a float witness or the verdict is inconclusive.
 
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from functools import partial
-from math import floor, isfinite, lcm
+from functools import lru_cache, partial
+from math import floor, gcd, isfinite, lcm
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -197,13 +200,19 @@ def _certify_numerator(coeffs):
 # exact numerators of the power-sum families
 
 class _Laurent:
-    """A Laurent polynomial in (x, v, w) with Fraction coefficients: + - * and
-    division by a monomial, all `_power_sum_table` and `_gradient_terms_raw` use."""
+    """A Laurent polynomial in (x, v, w) whose coefficients are polynomials in
+    the exponent alpha, with Fraction coefficients; a term's exponents are
+    (x, v, w, a), a the power of alpha.  + - * and division by a monomial, all
+    `_power_sum_table` and `_gradient_terms_raw` use.  The formal alpha
+    `_ALPHA` compares unequal to every number, so the table takes its
+    alpha != p side."""
 
     def __init__(self, terms):
         self.terms = {e: c for e, c in terms.items() if c}  # exponents -> c
 
     def __add__(self, other):
+        if not isinstance(other, _Laurent):
+            other = _Laurent({(0, 0, 0, 0): other})
         out = dict(self.terms)
         for e, c in other.terms.items():
             out[e] = out.get(e, 0) + c
@@ -219,60 +228,104 @@ class _Laurent:
         if not isinstance(other, _Laurent):
             return _Laurent({e: c * other for e, c in self.terms.items()})
         out = {}
-        for (x, v, w), c in self.terms.items():
-            for (y, u, z), d in other.terms.items():
-                e = (x + y, v + u, w + z)
+        for (x, v, w, a), c in self.terms.items():
+            for (y, u, z, b), d in other.terms.items():
+                e = (x + y, v + u, w + z, a + b)
                 out[e] = out.get(e, 0) + c * d
         return _Laurent(out)
 
     __rmul__ = __mul__
 
     def __truediv__(self, monomial):
-        ((y, u, z), d), = monomial.terms.items()
-        return _Laurent({(x - y, v - u, w - z): c / d for (x, v, w), c in self.terms.items()})
+        ((y, u, z, b), d), = monomial.terms.items()
+        return _Laurent(
+            {(x - y, v - u, w - z, a - b): c / d for (x, v, w, a), c in self.terms.items()}
+        )
 
-    def numerator(self, q):
+    def at(self, alpha):
+        """(D, element): a positive integer D and D times this element at the
+        exponent alpha, with integer coefficients.  With alpha = n/d and the
+        coefficients over one denominator L, D = L d^deg, deg the top power
+        of alpha; terms that vanish at alpha drop."""
+        alpha = Fraction(alpha)
+        den = lcm(*(c.denominator for c in self.terms.values()))
+        top = max(a for _, _, _, a in self.terms)
+        n, d = alpha.numerator, alpha.denominator
+        powers = [n**a * d ** (top - a) for a in range(top + 1)]
+        out = {}
+        for (x, v, w, a), c in self.terms.items():
+            e = (x, v, w, 0)
+            out[e] = out.get(e, 0) + c.numerator * (den // c.denominator) * powers[a]
+        return den * d**top, _Laurent(out)
+
+    def numerator(self, q, alpha):
         """Integer coefficient lists, descending in x, one per power of v, of a
-        positive multiple of this element at w = x^q - 1 > 0, x > 1, v >= 0."""
-        powers = sorted({w for _, _, w in self.terms}, reverse=True)
+        positive multiple of this element at the exponent alpha and at
+        w = x^q - 1 > 0, x > 1, v >= 0.  alpha goes in first, so the lists
+        are those of an element built at that alpha: its rational
+        coefficients times the lcm of their denominators, which is the
+        integer total divided by gcd(D, total)."""
+        scale, element = self.at(alpha)
+        terms = element.terms
+        powers = sorted({w for _, _, w, _ in terms}, reverse=True)
         total = _Laurent({})
         for j in range(powers[0], powers[-1] - 1, -1):  # Horner in w, times w^-k
-            total = total * _Laurent({(q, 0, 0): 1, (0, 0, 0): -1}) + _Laurent(
-                {(x, v, 0): c for (x, v, w), c in self.terms.items() if w == j}
+            total = total * _Laurent({(q, 0, 0, 0): 1, (0, 0, 0, 0): -1}) + _Laurent(
+                {(x, v, 0, 0): c for (x, v, w, _), c in terms.items() if w == j}
             )
-        xs = [x for x, _, _ in total.terms]
+        xs = [x for x, _, _, _ in total.terms]
         lo, deg = min(xs), max(xs) - min(xs)
-        scale = lcm(*(c.denominator for c in total.terms.values()))
-        polys = [[0] * (deg + 1) for _ in range(1 + max(v for _, v, _ in total.terms))]
-        for (x, v, _), c in total.terms.items():
-            polys[v][deg - (x - lo)] = int(c * scale)
+        common = gcd(scale, *total.terms.values())
+        polys = [[0] * (deg + 1) for _ in range(1 + max(v for _, v, _, _ in total.terms))]
+        for (x, v, _, _), c in total.terms.items():
+            polys[v][deg - (x - lo)] = c // common
         return polys
 
 
-def _power_sum_terms(speed, q):
+_ALPHA = _Laurent({(0, 0, 0, 1): Fraction(1)})  # the exponent as a formal symbol
+
+
+def _power_sum_build(family, alpha, q):
     """(Q1, Q2) at r = (1, t), t = x^q, of a power-sum family as `_Laurent`
-    elements, from the power-sum table, and whether they are exact.
+    elements, from the power-sum table, and whether they are exact; alpha is
+    a Fraction, or `_ALPHA` for mean and norm, whose p does not move with it.
 
     y = t^-p is x^-pq when pq is an integer (always for mean and norm).  Else
     y is replaced by the sandwich x^-m (1 + v/x) / (1 + v), m = floor(pq),
     times 1 + v: as v runs over [0, inf) it takes every value between
     x^-(m+1) and x^-m, so a numerator <= 0 for all x > 1, v >= 0 covers y.
     """
-    alpha = Fraction(float(speed.alpha))
-    p = Fraction(_power_sum_p(speed.family, float(speed.alpha)))
+    p = Fraction(_power_sum_p(family, alpha))
     n = p * q
 
     def poly(*exponents):
         return _Laurent(dict.fromkeys(exponents, Fraction(1)))
 
     if n.denominator == 1:
-        a1, a2 = poly((0, 0, 0)), poly((-n.numerator, 0, 0))
+        a1, a2 = poly((0, 0, 0, 0)), poly((-n.numerator, 0, 0, 0))
     else:
         m = floor(n)
-        a1, a2 = poly((0, 0, 0), (0, 1, 0)), poly((-m, 0, 0), (-m - 1, 1, 0))
-    fd = _power_sum_table(alpha, p, a1, a2, poly((0, 0, 0)), poly((-q, 0, 0)))
-    q1, q2, _, _ = _gradient_terms_raw(fd, poly((0, 0, 1)))
+        a1, a2 = poly((0, 0, 0, 0), (0, 1, 0, 0)), poly((-m, 0, 0, 0), (-m - 1, 1, 0, 0))
+    fd = _power_sum_table(alpha, p, a1, a2, poly((0, 0, 0, 0)), poly((-q, 0, 0, 0)))
+    q1, q2, _, _ = _gradient_terms_raw(fd, poly((0, 0, 1, 0)))
     return (q1, q2), n.denominator == 1
+
+
+@lru_cache(maxsize=4)
+def _alpha_table(family, at_p):
+    """(Q1, Q2) of mean_power or norm_power at q = 1, built once as elements
+    in alpha (at most cubic).  The exponent alpha == p (mean 1, norm 2) drops
+    the table's S factor, so it gets a table of its own, built at alpha = p."""
+    alpha = Fraction(_power_sum_p(family, None)) if at_p else _ALPHA
+    return _power_sum_build(family, alpha, 1)[0]
+
+
+def _power_sum_terms(family, alpha, q):
+    """`_power_sum_build` at the Fraction alpha: mean and norm read their
+    table in alpha, sum_power, whose pq moves with alpha, builds anew."""
+    if family == "sum_power":
+        return _power_sum_build(family, alpha, q)
+    return _alpha_table(family, alpha == _power_sum_p(family, alpha)), True
 
 
 # ---------------------------------------------------------------------------
@@ -311,9 +364,10 @@ def certify_nonpositive(family, alpha, t_max=1e6) -> QReport:
         numerators = [[n1], [n2]]
         note = f"leading coeffs: q1 {float(n1[0]):.6g}, q2 {float(n2[0]):.6g}"
     else:
+        alpha = Fraction(float(speed.alpha))
         while True:
-            terms, exact = _power_sum_terms(speed, q)
-            numerators = [term.numerator(q) for term in terms]
+            terms, exact = _power_sum_terms(speed.family, alpha, q)
+            numerators = [term.numerator(q, alpha) for term in terms]
             if exact:
                 break
             if all(_nonpositive_on(p, 1) for n in numerators for p in n):

@@ -146,7 +146,8 @@ def _power_sum_table(alpha, p, a1, a2, c1, c2):
     with u_i = a_i c_i and v_i = u_i c_i, f -> -S^2, f_i -> alpha u_i S and
     f_ij -> -alpha (alpha - p) u_i u_j - delta_ij alpha (p + 1) v_i S.  The raw
     Q has degree 4 in (f, fdot, fddot), so the scale keeps its sign.  An
-    alpha column must take one side of the alpha == p test in every row."""
+    alpha column must take one side of the alpha == p test in every row; the
+    certificates' formal alpha takes the alpha != p side."""
     s = a1 + a2
     m = 1 if np.all(alpha == p) else s
     u1, u2 = a1 * c1, a2 * c2

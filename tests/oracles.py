@@ -7,18 +7,22 @@ derivative code — agreement is a genuine cross-check rather than a
 tautology.  Frozen reference values carry their derivations as comments.
 
 The slow references (`reference_flow`, the per-draw and per-alpha identity
-suites and the Sturm-chain sign engine) are the code paths the package's
-fast paths replaced, kept here so the tests can require the same results
+suites, the per-alpha power-sum numerators and the Sturm-chain sign engine)
+are the code paths the package's fast paths replaced, kept here so the tests can require the same results
 from both.
 """
 
 import math
 from fractions import Fraction
+from math import floor, lcm
 
 import numpy as np
 
 from pinchflow.identities import AGREEMENT_BOUND, REDUCTION_BOUND, Z_BOUND
 from pinchflow.pinching import (
+    _gradient_terms_raw,
+    _power_sum_p,
+    _power_sum_table,
     _raw_arrays,
     gradient_terms_general,
     gradient_terms_general_arrays,
@@ -300,6 +304,96 @@ def closed_agreement_suite_loop(n_t=64, n_alpha=64):
         "worst_case": worst_case,
         "pass": worst <= AGREEMENT_BOUND,
     }
+
+
+# --- per-alpha power-sum numerators ------------------------------------------
+# the slow reference for the certificates' tables in alpha: the whole exact
+# build rerun at each exponent, as `certificates` did it for every family
+
+
+class _Laurent:
+    """A Laurent polynomial in (x, v, w) with Fraction coefficients: + - * and
+    division by a monomial, all `_power_sum_table` and `_gradient_terms_raw` use."""
+
+    def __init__(self, terms):
+        self.terms = {e: c for e, c in terms.items() if c}  # exponents -> c
+
+    def __add__(self, other):
+        out = dict(self.terms)
+        for e, c in other.terms.items():
+            out[e] = out.get(e, 0) + c
+        return _Laurent(out)
+
+    def __neg__(self):
+        return _Laurent({e: -c for e, c in self.terms.items()})
+
+    def __sub__(self, other):
+        return self + -other
+
+    def __mul__(self, other):
+        if not isinstance(other, _Laurent):
+            return _Laurent({e: c * other for e, c in self.terms.items()})
+        out = {}
+        for (x, v, w), c in self.terms.items():
+            for (y, u, z), d in other.terms.items():
+                e = (x + y, v + u, w + z)
+                out[e] = out.get(e, 0) + c * d
+        return _Laurent(out)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, monomial):
+        ((y, u, z), d), = monomial.terms.items()
+        return _Laurent({(x - y, v - u, w - z): c / d for (x, v, w), c in self.terms.items()})
+
+    def numerator(self, q):
+        """Integer coefficient lists, descending in x, one per power of v, of a
+        positive multiple of this element at w = x^q - 1 > 0, x > 1, v >= 0."""
+        powers = sorted({w for _, _, w in self.terms}, reverse=True)
+        total = _Laurent({})
+        for j in range(powers[0], powers[-1] - 1, -1):  # Horner in w, times w^-k
+            total = total * _Laurent({(q, 0, 0): 1, (0, 0, 0): -1}) + _Laurent(
+                {(x, v, 0): c for (x, v, w), c in self.terms.items() if w == j}
+            )
+        xs = [x for x, _, _ in total.terms]
+        lo, deg = min(xs), max(xs) - min(xs)
+        scale = lcm(*(c.denominator for c in total.terms.values()))
+        polys = [[0] * (deg + 1) for _ in range(1 + max(v for _, v, _ in total.terms))]
+        for (x, v, _), c in total.terms.items():
+            polys[v][deg - (x - lo)] = int(c * scale)
+        return polys
+
+
+def _power_sum_terms(speed, q):
+    """(Q1, Q2) at r = (1, t), t = x^q, of a power-sum family as `_Laurent`
+    elements, from the power-sum table, and whether they are exact.
+
+    y = t^-p is x^-pq when pq is an integer (always for mean and norm).  Else
+    y is replaced by the sandwich x^-m (1 + v/x) / (1 + v), m = floor(pq),
+    times 1 + v: as v runs over [0, inf) it takes every value between
+    x^-(m+1) and x^-m, so a numerator <= 0 for all x > 1, v >= 0 covers y.
+    """
+    alpha = Fraction(float(speed.alpha))
+    p = Fraction(_power_sum_p(speed.family, float(speed.alpha)))
+    n = p * q
+
+    def poly(*exponents):
+        return _Laurent(dict.fromkeys(exponents, Fraction(1)))
+
+    if n.denominator == 1:
+        a1, a2 = poly((0, 0, 0)), poly((-n.numerator, 0, 0))
+    else:
+        m = floor(n)
+        a1, a2 = poly((0, 0, 0), (0, 1, 0)), poly((-m, 0, 0), (-m - 1, 1, 0))
+    fd = _power_sum_table(alpha, p, a1, a2, poly((0, 0, 0)), poly((-q, 0, 0)))
+    q1, q2, _, _ = _gradient_terms_raw(fd, poly((0, 0, 1)))
+    return (q1, q2), n.denominator == 1
+
+
+def power_sum_numerators(family, alpha):
+    """Integer numerator lists of (Q1, Q2) at q = 1, built at this alpha."""
+    terms, _ = _power_sum_terms(SpeedFunction(family, alpha), 1)
+    return [term.numerator(1) for term in terms]
 
 
 # --- Sturm-chain sign engine -------------------------------------------------

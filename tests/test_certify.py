@@ -21,7 +21,12 @@ from pinchflow import (
     log_ratio_grid,
     sign_scan,
 )
-from pinchflow.certificates import _certify_numerator, _nonpositive_on, _power_sum_terms
+from pinchflow.certificates import (
+    _alpha_table,
+    _certify_numerator,
+    _nonpositive_on,
+    _power_sum_terms,
+)
 from pinchflow.pinching import (
     _gdot,
     _gradient_terms_raw,
@@ -150,9 +155,9 @@ def grid_numerators():
         if family == "gauss_power":
             numerators = closed_numerators(alpha)
         else:
-            terms, exact = _power_sum_terms(SpeedFunction(family, alpha), 1)
+            terms, exact = _power_sum_terms(family, Fraction(alpha), 1)
             assert exact
-            numerators = [term.numerator(1)[0] for term in terms]
+            numerators = [term.numerator(1, alpha)[0] for term in terms]
         for coeffs in numerators:
             yield family, alpha, coeffs
 
@@ -204,17 +209,16 @@ def test_certify_numerator_tangency_off_dyadic_exhausts_budget():
 def test_ring_numerators_match_raw_arrays(family, alpha):
     # N_i = D t^-lo w^-k Qraw_i, with Qraw_i the table's raw Q; the table's
     # normalized Q is Qraw_i (-2/f) / g_i^2 / S^(2 - alpha/p)
-    speed = SpeedFunction(family, alpha)
     t = np.geomspace(1.5, 1e3, 200)
-    terms, exact = _power_sum_terms(speed, 1)
+    terms, exact = _power_sum_terms(family, Fraction(alpha), 1)
     assert exact
     p = _power_sum_p(family, alpha)
     fd = _power_sum_table(alpha, p, 1.0, t**-p, 1.0, 1 / t)
     g = _gdot(fd, t - 1)
     scale = 1.0 if alpha == p else (1 + t**-p) ** (2 - alpha / p)
     for term, g_i, q_i in zip(terms, g, _raw_arrays(family, alpha, t)):
-        (coeffs,) = term.numerator(1)
-        k = min(w for _, _, w in term.terms)
+        (coeffs,) = term.numerator(1, alpha)
+        k = min(w for _, _, w, _ in term.at(alpha)[1].terms)
         n = horner([float(c) for c in coeffs], t) * (t - 1) ** k
         q = n * (-2 / fd[0]) / (g_i * g_i) / scale
         # D t^-lo: a positive constant times an integer power of t
@@ -222,6 +226,18 @@ def test_ring_numerators_match_raw_arrays(family, alpha):
         factor = q[0] / q_i[0] * t[0] ** lo
         assert factor > 0
         np.testing.assert_allclose(q * t**lo / factor, q_i, rtol=1e-12)
+
+
+@pytest.mark.parametrize("family", ["mean_power", "norm_power"])
+def test_alpha_table_matches_per_alpha_build(family):
+    # every k/16 in (0, 12]: the alpha == p table (mean 1, norm 2) and the
+    # neighbourhoods of both thresholds (5.16, 8.16)
+    assert max(a for term in _alpha_table(family, False) for *_, a in term.terms) == 3
+    for k in range(1, 193):
+        terms, exact = _power_sum_terms(family, Fraction(k, 16), 1)
+        assert exact
+        table = [term.numerator(1, Fraction(k, 16)) for term in terms]
+        assert table == oracles.power_sum_numerators(family, k / 16), k
 
 
 def test_certify_sum_power_and_cap():

@@ -152,59 +152,81 @@ def test_q_sign_config_file(tmp_path):
 
 
 # sha256 of report files, JSON with its timestamp stripped: the gauss_power
-# q-sign and threshold reports, each its record's fields, and a flow's
-# summary and every-step trace as the RKC stepper writes them
+# q-sign and threshold reports, each its record's fields, a mean_power
+# threshold and a norm_power violation from the certificates' tables in
+# alpha, and a flow's summary and every-step trace as the RKC stepper writes
+# them.  Each case has a fixed id, so re-freezing a digest keeps its name.
 FLOW_ARGV = ("flow", "--family", "mean_power", "--alpha", "1.5", "--a", "2") + (
     "--b", "1", "--n-nodes", "33", "--stop-fraction", "0.2", "--record-every", "1"
 )
 REPORT_SHA256 = [
-    (
+    pytest.param(
         ("q-sign", "--family", "gauss_power", "--alpha", "1.5"),
         "qsign.json",
         "e43c72231c08bdd7a7e1dc39052c58af6d4d71eb418a229e9c9fcdf8b38b65fb",
+        id="qsign-gauss-1.5",
     ),
-    (
+    pytest.param(
         ("q-sign", "--family", "gauss_power", "--alpha", "0.4"),
         "qsign.json",
         "b6dcd7419da77e168469afb605b83350306b30942528f4763c7afe39e236fce4",
+        id="qsign-gauss-0.4",
     ),
-    (
+    pytest.param(
         ("q-sign", "--family", "gauss_power", "--alpha", "2.1"),
         "qsign.json",
         "a2adc2a851a3271fe4f22b4d2aa6ed93a47dd4c273185220abb03c27340a3fb7",
+        id="qsign-gauss-2.1",
     ),
-    (
+    pytest.param(
         ("q-sign", "--family", "gauss_power", "--alpha", "3.0"),
         "qsign.json",
         "8bdfad29862de49aa210946e0ca0658e0f3a961492bf3523277c1a1d4c414c47",
+        id="qsign-gauss-3.0",
     ),
-    (
+    pytest.param(
         ("threshold", "--family", "gauss_power", "--alpha-lo", "1.5")
         + ("--alpha-hi", "3", "--tol", "0.05"),
         "threshold.json",
         "51492d8081335dffddfb0c57527b49df3d78a7d6a0b7060ac3e9959e9e57fc73",
+        id="threshold-gauss-tol",
     ),
-    (
+    pytest.param(
         FLOW_ARGV,
         "summary.json",
         "3ee813d271a368d40796f7a737f03602d6214cc75ddea49039c92c0dc1c4453a",
+        id="flow-mean-summary",
     ),
-    (
+    pytest.param(
         FLOW_ARGV,
         "trace.csv",
         "cd1f59e408c3c2451aa120fd24e9967d18431678fcee9ee308a5ab3054dd06c5",
+        id="flow-mean-trace",
     ),
-    (  # find_threshold's default tolerance is 0.05
+    pytest.param(  # find_threshold's default tolerance is 0.05
         ("threshold", "--family", "gauss_power", "--alpha-lo", "1.5")
         + ("--alpha-hi", "3"),
         "threshold.json",
         "51492d8081335dffddfb0c57527b49df3d78a7d6a0b7060ac3e9959e9e57fc73",
+        id="threshold-gauss-default-tol",
+    ),
+    pytest.param(
+        ("threshold", "--family", "mean_power", "--alpha-lo", "4", "--alpha-hi", "6"),
+        "threshold.json",
+        "bb1addec0d68d60d8bc5ccefba28ccb63d4dcd76a349c725a58f5eff3cc5dc50",
+        id="threshold-mean",
+    ),
+    pytest.param(
+        ("q-sign", "--family", "norm_power", "--alpha", "8.15625"),
+        "qsign.json",
+        "e38964b0699dffd70b7c405334263d8437be521c922af3f7d8004a8384e9ce74",
+        id="qsign-norm-8.15625",
     ),
 ]
 
 
 @pytest.mark.parametrize("argv, name, digest", REPORT_SHA256)
-def test_gauss_report_bytes_pinned(tmp_path, argv, name, digest):
+def test_report_bytes_pinned(tmp_path, argv, name, digest):
     invoke(*argv, "--out", str(tmp_path))
     text = (tmp_path / name).read_text()
     if name.endswith(".json"):
