@@ -8,10 +8,11 @@ the power-sum table run over `_Laurent` (`_power_sum_terms`).  mean_power
 and norm_power read theirs from one table per family, built once with alpha
 a formal symbol (`_alpha_table`, at most cubic in alpha), and each probe
 substitutes its exponent; sum_power, whose t^-alpha moves with alpha,
-builds them at each exponent.  One exact test decides them all: `_nonpositive_on`, Descartes' rule of signs on a ray
-or an interval.  A numerator in x alone goes to `_certify_numerator`, which
-runs that test on pieces of the ray, bisected left first, and returns the
-certificate or a rational witness.  A sandwich numerator in (x, v) must pass
+builds them at each exponent.  One exact test decides them all:
+`_nonpositive_on`, Descartes' rule of signs on a ray or an interval.  A
+numerator in x alone goes to `_certify_numerator`, which runs that test on
+pieces of the ray, bisected left first, and returns the certificate or a
+rational witness.  A sandwich numerator in (x, v) must pass
 the test on the whole ray, doubling q up to SANDWICH_Q_MAX; after that a
 sign scan finds a float witness or the verdict is inconclusive.
 """
@@ -364,10 +365,10 @@ def certify_nonpositive(family, alpha, t_max=1e6) -> QReport:
         numerators = [[n1], [n2]]
         note = f"leading coeffs: q1 {float(n1[0]):.6g}, q2 {float(n2[0]):.6g}"
     else:
-        alpha = Fraction(float(speed.alpha))
+        dyadic = Fraction(float(speed.alpha))
         while True:
-            terms, exact = _power_sum_terms(speed.family, alpha, q)
-            numerators = [term.numerator(q, alpha) for term in terms]
+            terms, exact = _power_sum_terms(speed.family, dyadic, q)
+            numerators = [term.numerator(q, dyadic) for term in terms]
             if exact:
                 break
             if all(_nonpositive_on(p, 1) for n in numerators for p in n):

@@ -8,8 +8,8 @@ tautology.  Frozen reference values carry their derivations as comments.
 
 The slow references (`reference_flow`, the per-draw and per-alpha identity
 suites, the per-alpha power-sum numerators and the Sturm-chain sign engine)
-are the code paths the package's fast paths replaced, kept here so the tests can require the same results
-from both.
+are the code paths the package's fast paths replaced, kept here so the
+tests can require the same results from both.
 """
 
 import math
@@ -308,7 +308,7 @@ def closed_agreement_suite_loop(n_t=64, n_alpha=64):
 
 # --- per-alpha power-sum numerators ------------------------------------------
 # the slow reference for the certificates' tables in alpha: the whole exact
-# build rerun at each exponent, as `certificates` did it for every family
+# build run at one exponent, alpha a number throughout
 
 
 class _Laurent:
