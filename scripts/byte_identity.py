@@ -53,6 +53,8 @@ COMMANDS = [
     "threshold --family norm_power --alpha-lo 7 --alpha-hi 9",
     "q-sign --family mean_power --alpha 1",
     "q-sign --family norm_power --alpha 2",
+    "q-sign --family mean_power --alpha 5.171875",
+    "q-sign --family mean_power --alpha 5.17578125",
     "verify-identities --draws 2000 --seed 0",
     "verify-identities --draws 2000 --seed 7",
     "verify-identities --seed 134",

@@ -12,7 +12,8 @@ builds them at each exponent.  One exact test decides them all:
 `_nonpositive_on`, Descartes' rule of signs on a ray or an interval.  A
 numerator in x alone goes to `_certify_numerator`, which runs that test on
 pieces of the ray, bisected left first, and returns the certificate or a
-rational witness.  A sandwich numerator in (x, v) must pass
+rational witness; the pieces are integer ends over a power of two, so the
+search runs in Python ints.  A sandwich numerator in (x, v) must pass
 the test on the whole ray, doubling q up to SANDWICH_Q_MAX; after that a
 sign scan finds a float witness or the verdict is inconclusive.
 """
@@ -33,7 +34,6 @@ from .pinching import (
     _power_sum_table,
     closed_numerators,
     gradient_terms_general_arrays,
-    horner,
 )
 from .speeds import SpeedFunction
 
@@ -138,62 +138,72 @@ def _taylor_shift(p, a):
     return p
 
 
-def _nonpositive_on(p, lo, hi=None):
-    """True when no coefficient of (1 + u)^n p((lo + hi u)/(1 + u)), n the
-    length of p less one, is positive: then p <= 0 on [lo, hi], ends included.
-    With hi None the test is on p(lo + u), for the ray x >= lo.  Descartes'
-    rule on an interval (Collins & Akritas, SYMSAC 1976); False decides
-    nothing.  The ends share one denominator d and p becomes d^n p(y/d), so
-    integer coefficients keep every shift in Python ints.
+def _nonpositive_on(p, lo, hi=None, k=0):
+    """True when no coefficient of (1 + u)^n p((a + b u)/(1 + u)), n the
+    length of p less one and [a, b] = [lo, hi]/2^k, is positive: then p <= 0
+    on [a, b], ends included.  p has integer coefficients and the ends are
+    integers over the shared 2^k.  With hi None the test is on p(a + u), for
+    the ray x >= a.  Descartes' rule on an interval (Collins & Akritas,
+    SYMSAC 1976); False decides nothing.  p becomes 2^(kn) p(y/2^k), so
+    every shift stays in Python ints.
     """
-    lo = Fraction(lo)
-    d = lo.denominator if hi is None else lcm(lo.denominator, Fraction(hi).denominator)
-    a = _taylor_shift([c * d**i for i, c in enumerate(p)], int(lo * d))
-    if hi is not None:  # p(lo + width s) at s = u/(1 + u), times (1 + u)^n
-        width, n = int((hi - lo) * d), len(a) - 1
+    a = _taylor_shift([c << (k * i) for i, c in enumerate(p)], lo)
+    if hi is not None:  # p(a + (b - a) s) at s = u/(1 + u), times (1 + u)^n
+        width, n = hi - lo, len(a) - 1
         a = _taylor_shift([c * width ** (n - i) for i, c in enumerate(a)][::-1], 1)
     return all(c <= 0 for c in a)
 
 
+def _positive_at(p, x, k):
+    """Whether p > 0 at x/2^k, p with integer coefficients: the homogeneous
+    Horner sum of c_i x^(n-i) 2^(ki) is 2^(kn) p(x/2^k)."""
+    acc = 0
+    for i, c in enumerate(p):
+        acc = acc * x + (c << (k * i))
+    return acc > 0
+
+
 def _certify_numerator(coeffs):
     """Exact verdict for 'polynomial <= 0 on the ray x > 1': None when it
-    holds, else a rational witness x > 1 with a positive value.
+    holds, else a rational witness x > 1 with a positive value.  The
+    coefficients are integers or Fractions.
 
-    Pieces of (1, inf) go left first.  A piece `_nonpositive_on` passes is
-    done; a piece with a positive midpoint gives the witness, bisected toward
-    the piece's left end to a relative 2^-16; any other piece is halved.  The
-    ray (lo, inf) splits at 2 lo: once lo is past the real part of every
-    root, p(lo + u) has only coefficients of the leading one's sign.
+    Pieces of (1, inf) go left first, each as integer ends over its own 2^k,
+    so no piece and no bisection step builds a Fraction.  A piece
+    `_nonpositive_on` passes is done; a piece with a positive midpoint
+    (`_positive_at`) gives the witness, bisected toward the piece's left end
+    to a relative 2^-16; any other piece is halved.  The ray (lo, inf) splits
+    at 2 lo: once lo is past the real part of every root, p(lo + u) has only
+    coefficients of the leading one's sign.
 
     Trade-off: a tangency (a root of even multiplicity with p <= 0 around it)
     inside a piece fails the test, so one at a point that is not dyadic halves
     pieces until the budget raises SignBudgetError.  No family numerator has one:
     N2's double root comes only at the irrational exponent alpha*.
     """
-    p = [Fraction(c) for c in coeffs]
-    scale = lcm(*(c.denominator for c in p))
-    p = [int(c * scale) for c in p]
-    pieces = [(Fraction(1), None)]  # a stack, the leftmost piece on top
+    scale = lcm(*(c.denominator for c in coeffs))
+    p = [c.numerator * (scale // c.denominator) for c in coeffs]
+    pieces = [(1, None, 0)]  # a stack, the leftmost piece on top: [lo, hi]/2^k
     for _ in range(_PIECE_BUDGET):
         if not pieces:
             return None
-        lo, hi = pieces.pop()
-        if _nonpositive_on(p, lo, hi):
+        lo, hi, k = pieces.pop()
+        if _nonpositive_on(p, lo, hi, k):
             continue
         if hi is None:
-            pieces += [(2 * lo, None), (lo, 2 * lo)]
+            pieces += [(2 * lo, None, k), (lo, 2 * lo, k)]
             continue
-        x = (lo + hi) / 2
-        if horner(p, x) > 0:
+        x, lo, hi, k = lo + hi, 2 * lo, 2 * hi, k + 1  # the midpoint
+        if _positive_at(p, x, k):
             # everything left of lo is certified: bisect toward the sign change
-            while x - lo > x / (1 << 16):
-                mid = (lo + x) / 2
-                if horner(p, mid) > 0:
+            while (x - lo) << 16 > x:
+                mid, lo, x, k = lo + x, 2 * lo, 2 * x, k + 1
+                if _positive_at(p, mid, k):
                     x = mid
                 else:
                     lo = mid
-            return x
-        pieces += [(x, hi), (lo, x)]
+            return Fraction(x, 1 << k)
+        pieces += [(x, hi, k), (lo, x, k)]
     raise SignBudgetError(f"sign decision undecided after {_PIECE_BUDGET} pieces")
 
 

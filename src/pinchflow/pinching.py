@@ -10,11 +10,11 @@ arrays, mpmath numbers and the exact ring of the certificates run the same
 code: `_gdot` and `_g_derivs` (G's derivatives), `_zero_order` (Z),
 `_q_full` (the eight-term Q of the reduction check, floats or float arrays),
 `_gradient_terms_raw` with `_normalize` (the raw Q1/Q2 assembly, any
-family), `_gauss_closed` (the gauss_power closed form in t = r2/r1,
-numerators by `horner`, the evaluator the exact certificates use on the
-same coefficient lists) and `_power_sum_table` (mean, norm and sum power
-derivatives straight from f, not through k: the agreement suite's second
-route, and the certificates').
+family), `_gauss_closed` (the gauss_power closed form in t = r2/r1, its
+numerators by `horner`, their coefficients from one integer formula,
+`_closed_numerator_ints`, that the exact certificates read as well) and
+`_power_sum_table` (mean, norm and sum power derivatives straight from f,
+not through k: the agreement suite's second route, and the certificates').
 
 Normalization convention: the coefficients of T1^2 and T2^2 in the gradient
 reduction are only determined up to positive point-dependent factors (the
@@ -170,25 +170,45 @@ def _power_sum_q(family, alpha, t):
     return q1 / scale, q2 / scale
 
 
+def _closed_numerator_ints(n, d):
+    """d^2 times the coefficients (t^3, t^2, t^1, t^0) of the first closed-form
+    numerator at alpha = n/d, all integers."""
+    return (
+        2 * n * n - 5 * n * d + 2 * d * d,
+        -(4 * n * n - 7 * n * d + 6 * d * d),
+        2 * n * n - 3 * n * d - 2 * d * d,
+        (n - 2 * d) * d,
+    )
+
+
 def closed_numerator_coeffs(alpha):
     """Exact coefficients (t^3, t^2, t^1, t^0) of the first closed-form
     numerator at r1=1, r2=t; the second numerator is the t^5-reversal.
 
-    Any binary float alpha is a dyadic rational, so this is always exact.
+    Any binary float alpha is a dyadic rational n/d, so this is always
+    exact: `_closed_numerator_ints` over d^2, as Fractions.
     """
-    a = Fraction(alpha)
-    return (
-        2 * a * a - 5 * a + 2,
-        -(4 * a * a - 7 * a + 6),
-        2 * a * a - 3 * a - 2,
-        a - 2,
-    )
+    n, d = Fraction(alpha).as_integer_ratio()
+    return tuple(Fraction(c, d * d) for c in _closed_numerator_ints(n, d))
 
 
 def closed_numerators(alpha):
     """Descending coefficients in t of N1 and of its t^5-reversal N2."""
     c3, c2, c1, c0 = closed_numerator_coeffs(alpha)
     return [c3, c2, c1, c0], [c0, c1, c2, c3, Fraction(0), Fraction(0)]
+
+
+def _closed_numerator_columns(a):
+    """`closed_numerators` as float columns for an alpha column a: each
+    coefficient is `_closed_numerator_ints` over d^2 by integer true
+    division, which rounds correctly, so it is bit-equal to float() of the
+    exact coefficient, and no Fraction is built."""
+    rows = []
+    for alpha in a.ravel():
+        n, d = float(alpha).as_integer_ratio()
+        rows.append([c / (d * d) for c in _closed_numerator_ints(n, d)])
+    c3, c2, c1, c0 = np.array(rows).T[..., None]
+    return [c3, c2, c1, c0], [c0, c1, c2, c3, 0.0, 0.0]
 
 
 def horner(coeffs, x):
@@ -203,12 +223,13 @@ def horner(coeffs, x):
 def _gauss_closed(a, t, scalar):
     """(Q1, Q2) of gauss_power at r = (1, t) from the closed rational forms
     Q_i = 2a N_i(t) / (t^(a/2+2) (t - 1) d_i^2), for any scalar type; `scalar`
-    converts the exact numerator coefficients.  d1 = a (t - 1) + 2 > 0 on
-    t > 1, while d2 vanishes at t = a / (a - 2) when a > 2.
+    converts the exact numerator coefficients.  An alpha column takes its
+    coefficients as float columns from `_closed_numerator_columns` instead.
+    d1 = a (t - 1) + 2 > 0 on t > 1, while d2 vanishes at t = a / (a - 2)
+    when a > 2.
     """
-    if np.ndim(a):  # an alpha column: a float column per coefficient
-        numerators = zip(*map(closed_numerators, a.ravel()))
-        n1, n2 = (list(np.array(n, float).T[..., None]) for n in numerators)
+    if np.ndim(a):
+        n1, n2 = _closed_numerator_columns(a)
     else:
         n1, n2 = ([scalar(c) for c in n] for n in closed_numerators(a))
     d1 = a * t + (2 - a)

@@ -7,8 +7,8 @@ derivative code — agreement is a genuine cross-check rather than a
 tautology.  Frozen reference values carry their derivations as comments.
 
 The slow references (`reference_flow`, the per-draw and per-alpha identity
-suites, the per-alpha power-sum numerators and the Sturm-chain sign engine)
-are the code paths the package's fast paths replaced, kept here so the
+suites, the per-alpha power-sum numerators, the Fraction Descartes engine
+and the Sturm-chain sign engine) are the code paths the package's fast paths replaced, kept here so the
 tests can require the same results from both.
 """
 
@@ -18,6 +18,8 @@ from math import floor, lcm
 
 import numpy as np
 
+from pinchflow.certificates import _taylor_shift
+from pinchflow.errors import SignBudgetError
 from pinchflow.identities import AGREEMENT_BOUND, REDUCTION_BOUND, Z_BOUND
 from pinchflow.pinching import (
     _gradient_terms_raw,
@@ -394,6 +396,53 @@ def power_sum_numerators(family, alpha):
     """Integer numerator lists of (Q1, Q2) at q = 1, built at this alpha."""
     terms, _ = _power_sum_terms(SpeedFunction(family, alpha), 1)
     return [term.numerator(1) for term in terms]
+
+
+# --- Fraction Descartes engine ------------------------------------------------
+# the reference for `certificates._certify_numerator`'s integer pieces: the
+# same bisected-ray search with Fraction ends and a Fraction Horner
+
+
+def fraction_nonpositive_on(p, lo, hi=None):
+    """True when no coefficient of (1 + u)^n p((lo + hi u)/(1 + u)) is
+    positive, lo and hi any rationals; with hi None, of p(lo + u)."""
+    lo = Fraction(lo)
+    d = lo.denominator if hi is None else lcm(lo.denominator, Fraction(hi).denominator)
+    a = _taylor_shift([c * d**i for i, c in enumerate(p)], int(lo * d))
+    if hi is not None:
+        width, n = int((hi - lo) * d), len(a) - 1
+        a = _taylor_shift([c * width ** (n - i) for i, c in enumerate(a)][::-1], 1)
+    return all(c <= 0 for c in a)
+
+
+def fraction_certify_numerator(coeffs, budget=10000):
+    """None when the polynomial is <= 0 on x > 1, else the rational witness
+    of the left-first bisected-ray search; SignBudgetError after `budget`
+    pieces."""
+    p = [Fraction(c) for c in coeffs]
+    scale = lcm(*(c.denominator for c in p))
+    p = [int(c * scale) for c in p]
+    pieces = [(Fraction(1), None)]
+    for _ in range(budget):
+        if not pieces:
+            return None
+        lo, hi = pieces.pop()
+        if fraction_nonpositive_on(p, lo, hi):
+            continue
+        if hi is None:
+            pieces += [(2 * lo, None), (lo, 2 * lo)]
+            continue
+        x = (lo + hi) / 2
+        if horner(p, x) > 0:
+            while x - lo > x / (1 << 16):
+                mid = (lo + x) / 2
+                if horner(p, mid) > 0:
+                    x = mid
+                else:
+                    lo = mid
+            return x
+        pieces += [(x, hi), (lo, x)]
+    raise SignBudgetError(f"sign decision undecided after {budget} pieces")
 
 
 # --- Sturm-chain sign engine -------------------------------------------------

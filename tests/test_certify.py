@@ -13,6 +13,7 @@ from pinchflow import (
     RadiiPoint,
     SignBudgetError,
     SpeedFunction,
+    certificates,
     certify_nonpositive,
     closed_numerator_coeffs,
     find_threshold,
@@ -179,10 +180,43 @@ def test_descartes_matches_sturm_reference():
 def test_nonpositive_on_intervals_and_rays():
     assert _nonpositive_on([1, -3], 1, 3)  # x - 3 <= 0 on [1, 3]
     assert not _nonpositive_on([1, -3], 1, 4)
-    assert _nonpositive_on([1, -3], Fraction(1, 3), Fraction(5, 2))
+    assert _nonpositive_on([1, -3], 1, 10, 2)  # on [1/4, 5/2]
+    assert _nonpositive_on([1, -3], 1, 12, 2)  # on [1/4, 3], its root an end
+    assert not _nonpositive_on([1, -3], 1, 13, 2)  # on [1/4, 13/4]
     assert not _nonpositive_on([1, -3], 3)  # p(3 + u) = u
     assert _nonpositive_on([-1, 4, -4], 2)  # -(x - 2)^2 from its root on
+    assert _nonpositive_on([-1, 4, -4], 8, None, 2)  # the same ray, as 8/4
+    assert not _nonpositive_on([-1, 4, -4], 7, None, 2)  # -(u - 1/4)^2 from 7/4
     assert _nonpositive_on([], 1)
+
+
+def test_integer_engine_matches_fraction_oracle(monkeypatch):
+    # every numerator certify_nonpositive decides at alpha = k/16 (gauss in
+    # (0, 4], mean in (0, 7.5], norm in (0, 10], sum_power in (0, 12] where
+    # its q reaches an exact build), and the tangency examples: the integer
+    # pieces and the Fraction engine they replaced give the same verdict
+    # and the same witness rational
+    seen = []
+    monkeypatch.setattr(certificates, "_certify_numerator", seen.append)
+    grid = {"gauss_power": 64, "mean_power": 120, "norm_power": 160, "sum_power": 192}
+    for family, top in grid.items():
+        for k in range(1, top + 1):
+            certify_nonpositive(family, k / 16)
+    assert len(seen) > 2 * (64 + 120 + 160)  # Q1 and Q2 of each, and some sum_power
+    seen += [[-1, 4, -4], [3, -6, -6, 9, 9, -9]]
+    violated = 0
+    for coeffs in seen:
+        witness = _certify_numerator(coeffs)
+        assert witness == oracles.fraction_certify_numerator(coeffs), coeffs
+        violated += witness is not None
+    assert violated > 100
+    # tangencies off the dyadics exhaust both engines' budgets
+    monkeypatch.setattr(certificates, "_PIECE_BUDGET", 300)
+    for coeffs in ([-9, 42, -49], [-1, 0, 4, 0, -4]):  # -(3x - 7)^2, -(x^2 - 2)^2
+        with pytest.raises(SignBudgetError):
+            _certify_numerator(coeffs)
+        with pytest.raises(SignBudgetError):
+            oracles.fraction_certify_numerator(coeffs, budget=300)
 
 
 def test_certify_numerator_double_root_at_one():

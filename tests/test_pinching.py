@@ -2,6 +2,7 @@
 
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -22,6 +23,7 @@ from pinchflow import (
     q_full_reduction_check,
     zero_order_term,
 )
+from pinchflow.pinching import _closed_numerator_columns
 
 import oracles
 
@@ -153,6 +155,23 @@ def test_numerator_coeffs_against_oracle():
     # the four coefficients always sum to -8 (value at t = 1)
     for alpha in (Fraction(1, 7), Fraction(5, 3), Fraction(11, 2), Fraction(42)):
         assert sum(closed_numerator_coeffs(alpha)) == -8
+
+
+@pytest.mark.parametrize("grid", ["closed_agreement", "dyadic_2^-40"])
+def test_gauss_column_coefficients_bit_equal(grid):
+    # the alpha-column path divides integers; each entry must be float() of
+    # the exact coefficient, on the agreement suite's 64 exponents and on
+    # random dyadic exponents with large denominators
+    if grid == "closed_agreement":
+        alphas = np.linspace(0.5, 2.0, 64)
+    else:
+        alphas = np.random.default_rng(0).integers(1, 12 * 2**40, 500) / 2**40
+    n1, n2 = _closed_numerator_columns(alphas[:, None])
+    for i, alpha in enumerate(alphas):
+        exact = closed_numerator_coeffs(float(alpha))
+        assert [float(c[i, 0]).hex() for c in n1] == [float(c).hex() for c in exact]
+        assert [float(c[i, 0]).hex() for c in n2[:4]] == [float(c).hex() for c in exact[::-1]]
+    assert n2[4:] == [0.0, 0.0]
 
 
 def test_numerators_quadratic_in_alpha():
