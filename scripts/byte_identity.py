@@ -47,6 +47,8 @@ COMMANDS = [
     "q-sign --family sum_power --alpha 3 --t-max 1e3",
     "q-sign --family sum_power --alpha 0.38",
     "q-sign --family sum_power --alpha 0.3",
+    "q-sign --family sum_power --alpha 0.375",
+    "q-sign --family sum_power --alpha 0.390625",
     "threshold --family gauss_power --alpha-lo 1.5 --alpha-hi 3 --tol 0.05",
     "threshold --family gauss_power --alpha-lo 1.5 --alpha-hi 3",
     "threshold --family mean_power --alpha-lo 4 --alpha-hi 6",

@@ -16,11 +16,16 @@ rational witness; the pieces are integer ends over a power of two, so the
 search runs in Python ints.  A sandwich numerator in (x, v) must pass
 the test on the whole ray, doubling q up to SANDWICH_Q_MAX; after that a
 sign scan finds a float witness or the verdict is inconclusive.
+
+An exact report's q1_max and q2_max say what the engine decided for each
+side: Fraction(0) for a certified numerator, None for one with a witness.
+No float code runs for an exact verdict but the witness's 150-bit value;
+only a `scan(...)` verdict, sum_power's fallback, reports sampled maxima.
 """
 
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from functools import lru_cache, partial
+from functools import lru_cache
 from math import floor, gcd, isfinite, lcm
 from typing import NamedTuple, Optional
 
@@ -28,11 +33,11 @@ import numpy as np
 
 from .errors import BracketError, DomainError, SignBudgetError
 from .pinching import (
+    _closed_numerator_ints,
     _closed_q,
     _gradient_terms_raw,
     _power_sum_p,
     _power_sum_table,
-    closed_numerators,
     gradient_terms_general_arrays,
 )
 from .speeds import SpeedFunction
@@ -47,7 +52,8 @@ class QReport:
     alpha: float
     t_lo: float
     t_hi: float
-    q1_max: object  # float, or exact Fraction bound
+    q1_max: object  # exact Fraction(0) bound, None for a side with an exact
+    # witness, or the sampled float max of a scan(...) verdict
     q2_max: object
     verdict: str  # nonpositive_certified | nonpositive_sampled | violated | inconclusive
     witness_t: Optional[float] = None
@@ -163,10 +169,10 @@ def _positive_at(p, x, k):
     return acc > 0
 
 
-def _certify_numerator(coeffs):
-    """Exact verdict for 'polynomial <= 0 on the ray x > 1': None when it
-    holds, else a rational witness x > 1 with a positive value.  The
-    coefficients are integers or Fractions.
+def _certify_numerator(p):
+    """Exact verdict for 'p <= 0 on the ray x > 1', p a list of Python ints,
+    descending: None when it holds, else a rational witness x > 1 with a
+    positive value.
 
     Pieces of (1, inf) go left first, each as integer ends over its own 2^k,
     so no piece and no bisection step builds a Fraction.  A piece
@@ -181,8 +187,6 @@ def _certify_numerator(coeffs):
     pieces until the budget raises SignBudgetError.  No family numerator has one:
     N2's double root comes only at the irrational exponent alpha*.
     """
-    scale = lcm(*(c.denominator for c in coeffs))
-    p = [c.numerator * (scale // c.denominator) for c in coeffs]
     pieces = [(1, None, 0)]  # a stack, the leftmost piece on top: [lo, hi]/2^k
     for _ in range(_PIECE_BUDGET):
         if not pieces:
@@ -366,14 +370,11 @@ def certify_nonpositive(family, alpha, t_max=1e6) -> QReport:
         raise DomainError(
             f"sum_power certification is capped at alpha <= {SUM_POWER_ALPHA_CAP}"
         )
-    report = partial(
-        QReport, family=speed.family, alpha=float(speed.alpha), t_lo=1.0, t_hi=float(t_max)
-    )
     step, q = "descartes_exact(numerators, bisected ray)", 1
     if speed.family == "gauss_power":
-        n1, n2 = closed_numerators(float(speed.alpha))
+        scale, n1, n2 = _closed_numerator_ints(float(speed.alpha))
         numerators = [[n1], [n2]]
-        note = f"leading coeffs: q1 {float(n1[0]):.6g}, q2 {float(n2[0]):.6g}"
+        note = f"leading coeffs: q1 {n1[0] / scale:.6g}, q2 {n2[0] / scale:.6g}"
     else:
         dyadic = Fraction(float(speed.alpha))
         while True:
@@ -388,34 +389,30 @@ def certify_nonpositive(family, alpha, t_max=1e6) -> QReport:
                 scan = sign_scan(speed, ratio_grid=log_ratio_grid(t_max, 8192))
                 verdict = "violated" if scan.verdict == "violated" else "inconclusive"
                 method = f"{scan.method}; sandwich uncertified up to q={q}"
-                region = dict(t_lo=1.0, t_hi=float(t_max))
-                return replace(scan, verdict=verdict, method=method, **region)
+                return replace(scan, verdict=verdict, method=method, t_lo=1.0, t_hi=float(t_max))
             q *= 2
         note = f"q={q}, degree {max(len(n[0]) for n in numerators) - 1}"
-    found = []  # (witness x, index of the failing Q_i), x = t^(1/q)
-    for which, polys in enumerate(numerators):
-        if len(polys) == 1:  # in x alone; sandwich numerators passed above
-            witness = _certify_numerator(polys[0])
-            if witness is not None:
-                found.append((witness, which))
-    if not found:
-        return report(
-            q1_max=Fraction(0),
-            q2_max=Fraction(0),
-            verdict="nonpositive_certified",
-            method=f"{step}; {note}",
-            tail="certified",
-        )
-    witness_x, which = min(found, key=lambda f: f[0])
-    witness_t = witness_x**q
-    scan = sign_scan(speed, ratio_grid=log_ratio_grid(max(t_max, float(witness_t) * 2)))
-    return report(
-        q1_max=scan.q1_max,
-        q2_max=scan.q2_max,
-        verdict="violated",
-        witness_t=float(witness_t),
-        witness_q=_q_at(speed, witness_t)[which],
-        method=f"{step}; maxima sampled; {note}",
+    # a witness x = t^(1/q) per side, None where certified; sandwich
+    # numerators in (x, v) passed above
+    witnesses = [_certify_numerator(n[0]) if len(n) == 1 else None for n in numerators]
+    found = [(w, which) for which, w in enumerate(witnesses) if w is not None]
+    witness_t = witness_q = None
+    if found:
+        witness_x, which = min(found)
+        witness_q = _q_at(speed, witness_x**q)[which]
+        witness_t = float(witness_x**q)
+    q1_max, q2_max = (Fraction(0) if w is None else None for w in witnesses)
+    return QReport(
+        family=speed.family,
+        alpha=float(speed.alpha),
+        t_lo=1.0,
+        t_hi=float(t_max),
+        q1_max=q1_max,
+        q2_max=q2_max,
+        verdict="violated" if found else "nonpositive_certified",
+        witness_t=witness_t,
+        witness_q=witness_q,
+        method=f"{step}; {note}",
         tail="certified",
     )
 

@@ -106,8 +106,10 @@ def _ensure_out(out):
 
 def cmd_verify_identities(args):
     params = _params(args)
-    if "draws" in params and params["draws"] <= 0:
+    if params.get("draws", 1) <= 0:
         raise ConfigError("field 'draws': must be positive")
+    if params.get("seed", 0) < 0:
+        raise ConfigError("field 'seed': must be non-negative")
     out = _ensure_out(args.out)
     result = identities.run_all(**params)
     for suite in result["suites"]:

@@ -327,7 +327,7 @@ def _grid_tables(theta):
     return np.cos(theta), np.sin(theta), np.diff(theta)
 
 
-def _diagnose(tables, d, s, r1, r2, diff, alpha, speed):
+def _diagnose(tables, d, s, r1, r2, diff, speed):
     """The diagnostics kernel, from `_radii` arrays of convex profiles: 1-d
     arrays for one profile, or 2-d arrays with one profile per row.  Every
     reduction runs along axis=-1, so a row gives the bits of the same
@@ -338,7 +338,7 @@ def _diagnose(tables, d, s, r1, r2, diff, alpha, speed):
     a product of three).  Returns each field as `.tolist()` gives it: a
     float for one profile, a list for a block."""
     cos, sin, w = tables
-    alpha = float(alpha)
+    alpha = float(speed.alpha)
     s_th = diff / (2.0 * d)
     y = s * cos * sin
     q = 1.5 * np.add.reduce(w * (y[..., 1:] + y[..., :-1]) / 2.0, axis=-1)
@@ -359,26 +359,25 @@ def _diagnose(tables, d, s, r1, r2, diff, alpha, speed):
         "center_z": q,
         "circumradius": circum,
         "inradius": inrad,
+        "min_abs_speed": np.minimum.reduce(
+            _k_derivs(speed.family, alpha, r1, r2, order=0) ** (-alpha), axis=-1
+        ),
     }
-    if speed is not None:
-        beta = float(speed.alpha)
-        k = _k_derivs(speed.family, beta, r1, r2, order=0)
-        out["min_abs_speed"] = np.minimum.reduce(k ** (-beta), axis=-1)
     return {name: value.tolist() for name, value in out.items()}
 
 
-def diagnostics(profile, alpha, speed=None):
+def diagnostics(profile, speed):
     """Per-profile record: pinching sup of (r2 - r1)^2 / (r1 r2)^alpha,
-    radius extremes, per-node max ratio supremum, circumradius/inradius
-    about the axial Steiner point (documented estimators, heuristic near
-    strong anisotropy), and min |speed| when a speed function is supplied;
-    raises ConvexityLossError where `radii_from_support` does.  `run`'s
-    records come from the same kernel, `_diagnose`."""
+    alpha the speed's exponent, radius extremes, per-node max ratio
+    supremum, circumradius/inradius about the axial Steiner point
+    (documented estimators, heuristic near strong anisotropy), and
+    min |speed|; raises ConvexityLossError where `radii_from_support`
+    does.  `run`'s records come from the same kernel, `_diagnose`."""
     th, d = profile.theta, profile.dtheta
     r1, r2, diff = _convex_radii(th, profile.s, d, _cot_table(th))
-    out = _diagnose(_grid_tables(th), d, profile.s, r1, r2, diff, alpha, speed)
+    out = _diagnose(_grid_tables(th), d, profile.s, r1, r2, diff, speed)
     out["roundness"] = out["circumradius"] / out["inradius"]
-    return {"alpha": float(alpha), **out}
+    return {"alpha": float(speed.alpha), **out}
 
 
 class FlowRecord(NamedTuple):
@@ -480,14 +479,14 @@ class FlowTrace:
         return out
 
 
-def _flush(records, pending, tables, d, alpha, speed):
+def _flush(records, pending, tables, d, speed):
     """Append the FlowRecords of the pending (n, t, dt, s, r1, r2, diff)
     entries, stacked into one block for one `_diagnose` call, and empty
     `pending`."""
     if not pending:
         return
     n, t, dt, *arrays = zip(*pending)
-    cols = _diagnose(tables, d, *map(np.stack, arrays), alpha, speed)
+    cols = _diagnose(tables, d, *map(np.stack, arrays), speed)
     cols.update(step=n, t=t, dt=dt)
     records.extend(map(FlowRecord._make, zip(*(cols[c] for c in TRACE_COLUMNS))))
     pending.clear()
@@ -565,8 +564,8 @@ def run(config: FlowConfig, profile=None) -> FlowTrace:
         if status or n % config.record_every == 0:
             pending.append((n, t, dt, s, r1, r2, diff))
             if len(pending) >= _RECORD_BLOCK:
-                _flush(records, pending, tables, d, alpha, speed)
-    _flush(records, pending, tables, d, alpha, speed)
+                _flush(records, pending, tables, d, speed)
+    _flush(records, pending, tables, d, speed)
     final = SupportProfile(theta, s, t)
     trace = FlowTrace(
         config=config,

@@ -30,7 +30,7 @@ the t row.  Its report is the per-alpha loop's (the reference in
 `tests/oracles.py`), but not every entry is: a scalar exponent takes numpy's
 reciprocal, sqrt or square fast path and a column does not, so rows with
 alpha in {0.5, 1, 1.5, 2} can differ in the last bits.  The gauss closed
-route's coefficient columns come from the integer formula of
+route's coefficient columns come from the integer lists of
 `pinching._closed_numerator_ints` by integer true division, which rounds
 correctly, so they are bit-equal to the exact coefficients' floats and
 the column builds no Fraction.

@@ -11,7 +11,7 @@ code: `_gdot` and `_g_derivs` (G's derivatives), `_zero_order` (Z),
 `_q_full` (the eight-term Q of the reduction check, floats or float arrays),
 `_gradient_terms_raw` with `_normalize` (the raw Q1/Q2 assembly, any
 family), `_gauss_closed` (the gauss_power closed form in t = r2/r1, its
-numerators by `horner`, their coefficients from one integer formula,
+numerators by `horner`, their coefficients the integer lists of
 `_closed_numerator_ints`, that the exact certificates read as well) and
 `_power_sum_table` (mean, norm and sum power derivatives straight from f,
 not through k: the agreement suite's second route, and the certificates').
@@ -170,45 +170,40 @@ def _power_sum_q(family, alpha, t):
     return q1 / scale, q2 / scale
 
 
-def _closed_numerator_ints(n, d):
-    """d^2 times the coefficients (t^3, t^2, t^1, t^0) of the first closed-form
-    numerator at alpha = n/d, all integers."""
-    return (
+def _closed_numerator_ints(alpha):
+    """(d^2, N1, N2) at alpha = n/d, a float, int or Fraction: d^2 times the
+    descending coefficients in t of the first closed-form numerator N1 and
+    of its t^5-reversal N2, as integer lists.  Any binary float is a dyadic
+    rational, so this is always exact."""
+    n, d = alpha.as_integer_ratio()
+    n1 = [
         2 * n * n - 5 * n * d + 2 * d * d,
         -(4 * n * n - 7 * n * d + 6 * d * d),
         2 * n * n - 3 * n * d - 2 * d * d,
         (n - 2 * d) * d,
-    )
+    ]
+    return d * d, n1, n1[::-1] + [0, 0]
 
 
 def closed_numerator_coeffs(alpha):
     """Exact coefficients (t^3, t^2, t^1, t^0) of the first closed-form
-    numerator at r1=1, r2=t; the second numerator is the t^5-reversal.
-
-    Any binary float alpha is a dyadic rational n/d, so this is always
-    exact: `_closed_numerator_ints` over d^2, as Fractions.
-    """
-    n, d = Fraction(alpha).as_integer_ratio()
-    return tuple(Fraction(c, d * d) for c in _closed_numerator_ints(n, d))
-
-
-def closed_numerators(alpha):
-    """Descending coefficients in t of N1 and of its t^5-reversal N2."""
-    c3, c2, c1, c0 = closed_numerator_coeffs(alpha)
-    return [c3, c2, c1, c0], [c0, c1, c2, c3, Fraction(0), Fraction(0)]
+    numerator at r1=1, r2=t, as Fractions; the second numerator is the
+    t^5-reversal."""
+    scale, n1, _ = _closed_numerator_ints(Fraction(alpha))
+    return tuple(Fraction(c, scale) for c in n1)
 
 
 def _closed_numerator_columns(a):
-    """`closed_numerators` as float columns for an alpha column a: each
-    coefficient is `_closed_numerator_ints` over d^2 by integer true
-    division, which rounds correctly, so it is bit-equal to float() of the
-    exact coefficient, and no Fraction is built."""
+    """`_closed_numerator_ints` as float columns for an alpha column a: each
+    coefficient by integer true division, which rounds correctly, so it is
+    bit-equal to float() of the exact coefficient, and no Fraction is
+    built."""
     rows = []
     for alpha in a.ravel():
-        n, d = float(alpha).as_integer_ratio()
-        rows.append([c / (d * d) for c in _closed_numerator_ints(n, d)])
-    c3, c2, c1, c0 = np.array(rows).T[..., None]
-    return [c3, c2, c1, c0], [c0, c1, c2, c3, 0.0, 0.0]
+        scale, n1, n2 = _closed_numerator_ints(float(alpha))
+        rows.append([c / scale for c in n1 + n2])
+    columns = list(np.array(rows).T[..., None])
+    return columns[:4], columns[4:]
 
 
 def horner(coeffs, x):
@@ -223,15 +218,17 @@ def horner(coeffs, x):
 def _gauss_closed(a, t, scalar):
     """(Q1, Q2) of gauss_power at r = (1, t) from the closed rational forms
     Q_i = 2a N_i(t) / (t^(a/2+2) (t - 1) d_i^2), for any scalar type; `scalar`
-    converts the exact numerator coefficients.  An alpha column takes its
-    coefficients as float columns from `_closed_numerator_columns` instead.
+    converts the exact numerator coefficients, Fractions.  An alpha column
+    takes its coefficients as float columns from `_closed_numerator_columns`
+    instead.
     d1 = a (t - 1) + 2 > 0 on t > 1, while d2 vanishes at t = a / (a - 2)
     when a > 2.
     """
     if np.ndim(a):
         n1, n2 = _closed_numerator_columns(a)
     else:
-        n1, n2 = ([scalar(c) for c in n] for n in closed_numerators(a))
+        scale, *numerators = _closed_numerator_ints(a)
+        n1, n2 = ([scalar(Fraction(c, scale)) for c in n] for n in numerators)
     d1 = a * t + (2 - a)
     d2 = a + (2 - a) * t
     common = 2 * a / (t ** (a / 2 + 2) * (t - 1))

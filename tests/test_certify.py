@@ -29,13 +29,13 @@ from pinchflow.certificates import (
     _power_sum_terms,
 )
 from pinchflow.pinching import (
+    _closed_numerator_ints,
     _gdot,
     _gradient_terms_raw,
     _normalize,
     _power_sum_p,
     _power_sum_table,
     _raw_arrays,
-    closed_numerators,
     horner,
 )
 
@@ -89,11 +89,33 @@ def test_certify_gauss_leading_coefficients():
     assert "leading" in rep.method
 
 
-def test_certify_gauss_violations_with_witness():
+# each side's bound on an exact violated verdict, from the sign engine alone:
+# Fraction(0) where it certified that numerator, None where it found a witness
+EXACT_SIDES = {
+    ("gauss_power", 0.4): (None, 0),
+    ("gauss_power", 2.1): (None, None),
+    ("gauss_power", 3.0): (None, None),
+    ("mean_power", 5.1875): (0, None),
+    ("mean_power", 6.0): (None, None),
+    ("norm_power", 8.1875): (0, None),
+    ("norm_power", 9.0): (0, None),
+    ("sum_power", 0.375): (None, 0),
+}
+
+
+def no_scan(*args, **kwargs):
+    raise AssertionError("sign_scan ran")
+
+
+def test_certify_gauss_violations_with_witness(monkeypatch):
+    # exact verdicts run no float scan
+    monkeypatch.setattr(certificates, "sign_scan", no_scan)
     for alpha in (0.4, 2.1, 3.0):
         rep = certify_nonpositive("gauss_power", alpha=alpha)
         assert rep.verdict == "violated", alpha
         assert rep.witness_t is not None and rep.witness_q > 0
+        assert (rep.q1_max, rep.q2_max) == EXACT_SIDES["gauss_power", alpha]
+        assert "sampled" not in rep.method
         # the reported value is the failing Q_i at the witness (150-bit
         # evaluation there; float evaluation here)
         q1, q2 = gradient_terms_gauss_closed(RadiiPoint(1.0, rep.witness_t), alpha)
@@ -118,6 +140,9 @@ POWER_SUM_LADDER = [
         for a in (0.5, 0.7, 1.5, 3.0, 3.3, 10.0, 10.7, 50.0, 100.0)
     ),
     ("sum_power", 0.3, "violated"),
+    ("sum_power", 0.375, "violated"),  # exact witness at t ~ 33.43, q = 8
+    ("sum_power", 0.38, "inconclusive"),
+    ("sum_power", 0.390625, "nonpositive_certified"),  # sandwich at q = 8
 ]
 
 
@@ -131,19 +156,32 @@ def q_reference(family, alpha, t):
 
 
 @pytest.mark.parametrize("family, alpha, verdict", POWER_SUM_LADDER)
-def test_certify_power_sum_ladder(family, alpha, verdict):
+def test_certify_power_sum_ladder(family, alpha, verdict, monkeypatch):
     rep = certify_nonpositive(family, alpha=alpha)
     assert rep.verdict == verdict
     assert "pieces" not in rep.method
+    # only sum_power's fallback scans; an exact verdict is the same without it
+    scanned = rep.method.startswith("scan(")
+    monkeypatch.setattr(certificates, "sign_scan", no_scan)
+    if scanned:
+        with pytest.raises(AssertionError, match="sign_scan ran"):
+            certify_nonpositive(family, alpha=alpha)
+    else:
+        assert certify_nonpositive(family, alpha=alpha) == rep
     if verdict == "nonpositive_certified":
         assert rep.tail == "certified"
         assert rep.q1_max == rep.q2_max == Fraction(0)
         return
+    if verdict == "inconclusive":
+        assert scanned and rep.witness_t is None
+        return
     assert rep.witness_q > 0
     q1, q2 = q_reference(family, alpha, rep.witness_t)
     assert max(q1, q2) == pytest.approx(rep.witness_q, rel=1e-9)
-    # an exact witness covers the tail; sum_power 0.3 is a scan witness
-    assert rep.tail == ("none" if family == "sum_power" else "certified")
+    # an exact witness covers the tail; a scan witness does not
+    assert rep.tail == ("none" if scanned else "certified")
+    if not scanned:
+        assert (rep.q1_max, rep.q2_max) == EXACT_SIDES[family, alpha]
 
 
 def grid_numerators():
@@ -154,7 +192,7 @@ def grid_numerators():
     grid += [("sum_power", float(k)) for k in range(1, 21)]
     for family, alpha in grid:
         if family == "gauss_power":
-            numerators = closed_numerators(alpha)
+            numerators = _closed_numerator_ints(alpha)[1:]
         else:
             terms, exact = _power_sum_terms(family, Fraction(alpha), 1)
             assert exact
@@ -195,7 +233,7 @@ def test_integer_engine_matches_fraction_oracle(monkeypatch):
     # (0, 4], mean in (0, 7.5], norm in (0, 10], sum_power in (0, 12] where
     # its q reaches an exact build), and the tangency examples: the integer
     # pieces and the Fraction engine they replaced give the same verdict
-    # and the same witness rational
+    # and the same witness rational; every family hands over lists of ints
     seen = []
     monkeypatch.setattr(certificates, "_certify_numerator", seen.append)
     grid = {"gauss_power": 64, "mean_power": 120, "norm_power": 160, "sum_power": 192}
@@ -203,6 +241,7 @@ def test_integer_engine_matches_fraction_oracle(monkeypatch):
         for k in range(1, top + 1):
             certify_nonpositive(family, k / 16)
     assert len(seen) > 2 * (64 + 120 + 160)  # Q1 and Q2 of each, and some sum_power
+    assert all(type(p) is list and all(type(c) is int for c in p) for p in seen)
     seen += [[-1, 4, -4], [3, -6, -6, 9, 9, -9]]
     violated = 0
     for coeffs in seen:

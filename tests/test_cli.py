@@ -68,6 +68,7 @@ def test_verify_identities_negative_control(tmp_path):
 
 def test_verify_identities_bad_draws():
     assert invoke("verify-identities", "--draws", "-5") == 2
+    assert invoke("verify-identities", "--seed", "-1") == 2
 
 
 # --- q-sign ------------------------------------------------------------------
@@ -169,26 +170,26 @@ REPORT_SHA256 = [
     pytest.param(
         ("q-sign", "--family", "gauss_power", "--alpha", "0.4"),
         "qsign.json",
-        "b6dcd7419da77e168469afb605b83350306b30942528f4763c7afe39e236fce4",
+        "eb17d7f12d519051d32db07737599b9da4dd2fee1ff43b5b2054af7d77f1771c",
         id="qsign-gauss-0.4",
     ),
     pytest.param(
         ("q-sign", "--family", "gauss_power", "--alpha", "2.1"),
         "qsign.json",
-        "a2adc2a851a3271fe4f22b4d2aa6ed93a47dd4c273185220abb03c27340a3fb7",
+        "ad42b0bc17d490ef69d2682577875ca15209899f120f2c3e756adf748fa4a80a",
         id="qsign-gauss-2.1",
     ),
     pytest.param(
         ("q-sign", "--family", "gauss_power", "--alpha", "3.0"),
         "qsign.json",
-        "8bdfad29862de49aa210946e0ca0658e0f3a961492bf3523277c1a1d4c414c47",
+        "346132f3d89d09d57cca69acbc3f9ac3bba169f5a9f6c69d32f650bf8c630747",
         id="qsign-gauss-3.0",
     ),
     pytest.param(
         ("threshold", "--family", "gauss_power", "--alpha-lo", "1.5")
         + ("--alpha-hi", "3", "--tol", "0.05"),
         "threshold.json",
-        "51492d8081335dffddfb0c57527b49df3d78a7d6a0b7060ac3e9959e9e57fc73",
+        "919a7b15da0b4dc5c9360f5ed6a102859593e3b37b1ab0e6a94be4bbe1ee7d16",
         id="threshold-gauss-tol",
     ),
     pytest.param(
@@ -207,19 +208,19 @@ REPORT_SHA256 = [
         ("threshold", "--family", "gauss_power", "--alpha-lo", "1.5")
         + ("--alpha-hi", "3"),
         "threshold.json",
-        "51492d8081335dffddfb0c57527b49df3d78a7d6a0b7060ac3e9959e9e57fc73",
+        "919a7b15da0b4dc5c9360f5ed6a102859593e3b37b1ab0e6a94be4bbe1ee7d16",
         id="threshold-gauss-default-tol",
     ),
     pytest.param(
         ("threshold", "--family", "mean_power", "--alpha-lo", "4", "--alpha-hi", "6"),
         "threshold.json",
-        "bb1addec0d68d60d8bc5ccefba28ccb63d4dcd76a349c725a58f5eff3cc5dc50",
+        "05eb4abe8bdf5d863269007fd203144c54ec6526d2b30a1c1182105014978b34",
         id="threshold-mean",
     ),
     pytest.param(
         ("q-sign", "--family", "norm_power", "--alpha", "8.15625"),
         "qsign.json",
-        "e38964b0699dffd70b7c405334263d8437be521c922af3f7d8004a8384e9ce74",
+        "b2b93d3b50d14985592f08f89d7a1260caf24d6e63acfb45183112a8b1f32555",
         id="qsign-norm-8.15625",
     ),
 ]

@@ -258,7 +258,7 @@ def test_run_record_bytes_pinned(family):
 
 
 def test_diagnostics_sphere():
-    d = diagnostics(sphere_support(2.0, 101), alpha=2.0)
+    d = diagnostics(sphere_support(2.0, 101), SpeedFunction("gauss_power", 2.0))
     assert d["pinch_sup"] <= 1e-20
     assert d["max_ratio"] == pytest.approx(1.0, abs=1e-12)
     assert d["roundness"] == pytest.approx(1.0, abs=1e-10)
@@ -268,7 +268,7 @@ def test_diagnostics_sphere():
 
 def test_diagnostics_ellipsoid_frozen():
     p = ellipsoid_support(2.0, 1.0, n_nodes=401)
-    d = diagnostics(p, alpha=2.0)
+    d = diagnostics(p, SpeedFunction("gauss_power", 2.0))
     # node scan of the closed form says the sup is 16/27 (s^2 = 4/3), above
     # the equator value 9/16
     assert d["pinch_sup"] == pytest.approx(oracles.PINCH_21_SUP, abs=2e-3)
@@ -407,7 +407,7 @@ def test_run_records_match_diagnostics(family):
             if n:
                 dt = adaptive_dt(p, speed)
                 p = step(p, speed, dt)
-            want = diagnostics(p, cfg.alpha, speed)
+            want = diagnostics(p, speed)
             want.update(step=n, t=p.time, dt=dt)
             assert hex_row(rec) == hex_row(want[c] for c in TRACE_COLUMNS), (
                 n_nodes,

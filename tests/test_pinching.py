@@ -171,7 +171,7 @@ def test_gauss_column_coefficients_bit_equal(grid):
         exact = closed_numerator_coeffs(float(alpha))
         assert [float(c[i, 0]).hex() for c in n1] == [float(c).hex() for c in exact]
         assert [float(c[i, 0]).hex() for c in n2[:4]] == [float(c).hex() for c in exact[::-1]]
-    assert n2[4:] == [0.0, 0.0]
+    assert len(n2) == 6 and not np.any(n2[4:])
 
 
 def test_numerators_quadratic_in_alpha():
