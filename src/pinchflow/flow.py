@@ -24,7 +24,12 @@ min |speed| for order 0 (k alone), so no second derivative is formed per
 step.  `run` loops over them on bare arrays; `step` and `adaptive_dt`
 wrap the same kernels for one SupportProfile, so iterating
 `step(p, speed, adaptive_dt(p, speed))` reproduces `run` bit for bit
-while no step is rejected.
+while no step is rejected.  On these short arrays a step costs numpy's
+per-call dispatch more than arithmetic, so every whole-array min or max on
+the stepper path is one argmin or argmax and an index (`_min`, `_max`:
+argmin and argmax stop at the first NaN, so a NaN propagates as through
+`np.minimum.reduce`), and `_radii` pads s with one gather through an index
+cached per node count (`_pad_index`).
 
 `_diagnose` is the one diagnostics kernel.  It takes the `_radii` arrays of
 one profile (1-d) or of a block of profiles (2-d, one per row) and reduces
@@ -160,19 +165,37 @@ def ellipsoid_support(a, b, n_nodes=201):
     return SupportProfile(theta, s)
 
 
+def _min(x):
+    """np.minimum.reduce(x) of a 1-d array by one argmin: the same value,
+    and NaN when x holds one (argmin stops at the first NaN)."""
+    return x[x.argmin()]
+
+
+def _max(x):
+    """np.maximum.reduce(x) of a 1-d array by one argmax, NaN kept alike."""
+    return x[x.argmax()]
+
+
+@functools.lru_cache(maxsize=None)
+def _pad_index(n):
+    """Gather index of s padded by its even reflection across each pole:
+    s[1], s[0], ..., s[n - 1], s[n - 2]."""
+    index = np.concatenate(([1], np.arange(n), [n - 2]))
+    index.flags.writeable = False
+    return index
+
+
 def _radii(s, d, cot):
     """The finite-difference stencil: even reflection of s across each pole,
     then central differences.  Returns the meridian radius s'' + s, the
     rotational radius cot s' + s (both s'' + s at the poles) and the
     undivided central difference s[i+1] - s[i-1] = 2 d s'."""
-    sp = np.empty(s.size + 2)
-    sp[1:-1] = s
-    sp[0] = s[1]  # even reflection across each pole
-    sp[-1] = s[-2]
-    diff = sp[2:] - sp[:-2]
+    sp = s[_pad_index(s.size)]
+    up, down = sp[2:], sp[:-2]
+    diff = up - down
     # the neighbours' sum first: it commutes bit for bit, so the stencil is
-    # the same at mirrored nodes
-    r1 = ((sp[2:] + sp[:-2]) - 2.0 * s) / (d * d) + s
+    # the same at mirrored nodes; s + s is 2.0 * s exactly
+    r1 = ((up + down) - (s + s)) / (d * d) + s
     r2 = cot * diff / (2.0 * d) + s
     r2[0] = r1[0]
     r2[-1] = r1[-1]
@@ -180,7 +203,7 @@ def _radii(s, d, cot):
 
 
 def _convex(r1, r2):
-    return np.minimum.reduce(r1) > 0 and np.minimum.reduce(r2) > 0
+    return _min(r1) > 0 and _min(r2) > 0
 
 
 def _convex_radii(theta, s, d, cot):
@@ -203,10 +226,18 @@ def _rate_and_cap(family, alpha, r1, r2):
     """ds/dt = -k^(-alpha) and the cap max(df1 + df2), where
     df_i = alpha k^-(1+alpha) dk_i is the linearization's diffusion trace;
     the cap sizes both the step's floor and its stage count.  Needs k and
-    its first derivatives only: `_k_derivs` at order 1."""
+    its first derivatives only: `_k_derivs` at order 1.  Raises DomainError
+    when the cap is not finite and positive, as when k^-(1+alpha) leaves
+    the float range: no step or stage count follows from such a cap."""
     k, k1, k2 = _k_derivs(family, alpha, r1, r2, order=1)
     a = k ** (-(1.0 + alpha))
-    return -(a * k), float(np.maximum.reduce(alpha * a * (k1 + k2)))
+    cap = float(_max(alpha * a * (k1 + k2)))
+    if not _positive(cap):
+        raise DomainError(
+            f"speed out of the float range: diffusion cap {cap} is not finite "
+            "and positive"
+        )
+    return -(a * k), cap
 
 
 def _step_dt(s, rate0, cap, d, alpha):
@@ -214,7 +245,7 @@ def _step_dt(s, rate0, cap, d, alpha):
     smallest s / |ds/dt| over the nodes, which on a sphere is _EPS times its
     remaining lifetime, but never less than the explicit parabolic step
     _FLOOR * d^2 / cap."""
-    lifetime = -float(np.maximum.reduce(s / rate0)) / (alpha + 1.0)
+    lifetime = -float(_max(s / rate0)) / (alpha + 1.0)
     return max(_EPS * lifetime, _FLOOR * (d * d) / cap)
 
 
@@ -274,7 +305,7 @@ def _rkc(family, alpha, s, rate0, dt, n_stages, d, cot):
             - (mu_t * dt) * k ** (-alpha)
         )
     r1, r2, diff = _radii(y, d, cot)
-    if not _convex(r1, r2) or np.minimum.reduce(y) <= 0:
+    if not _convex(r1, r2) or _min(y) <= 0:
         return None
     return y, r1, r2, diff
 
@@ -557,7 +588,7 @@ def run(config: FlowConfig, profile=None) -> FlowTrace:
         s, r1, r2, diff = out
         t += dt
         n += 1
-        if np.minimum.reduce(s) <= target:
+        if _min(s) <= target:
             status = "extinct_fraction"
         elif n >= config.max_steps:
             status = "max_steps"

@@ -141,6 +141,22 @@ def cfl_dt(dtheta, safety, fdot_sum_max):
     return safety * dtheta * dtheta / fdot_sum_max
 
 
+def padded_radii(s, d, cot):
+    """The flow's stencil with its padding written out: a fresh padded
+    array, a slice copy and two pole writes, doubling by 2.0 * s.  The slow
+    reference for `flow._radii`, which must match it bit for bit."""
+    sp = np.empty(s.size + 2)
+    sp[1:-1] = s
+    sp[0] = s[1]
+    sp[-1] = s[-2]
+    diff = sp[2:] - sp[:-2]
+    r1 = ((sp[2:] + sp[:-2]) - 2.0 * s) / (d * d) + s
+    r2 = cot * diff / (2.0 * d) + s
+    r2[0] = r1[0]
+    r2[-1] = r1[-1]
+    return r1, r2, diff
+
+
 def reference_flow(profile, speed, t_end, safety=0.25):
     """Explicit midpoint steps at the CFL step, clipped to land on t_end:
     the slow reference for the flow's stepper.  It shares the package's

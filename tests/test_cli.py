@@ -440,6 +440,17 @@ def test_flow_rejects_infinite_semi_axes(tmp_path, capsys):
     assert invoke("flow", "--config", str(cfg), "--out", str(out)) == 2
     assert "semi-axis a must be finite" in capsys.readouterr().err
     assert not out.exists()
+    # finite semi-axes whose speed leaves the float range: the diffusion cap
+    # overflows to inf or underflows to 0 at the first step (without --out,
+    # since the output directory is made before the flow runs)
+    for alpha, a, b in (
+        ("1", "1e-160", "2e-160"),
+        ("10", "2e40", "1e40"),
+        ("10", "2e-40", "1e-40"),
+    ):
+        argv = ("flow", "--family", "gauss_power", "--n-nodes", "33")
+        assert invoke(*argv, "--alpha", alpha, "--a", a, "--b", b) == 2
+        assert "speed out of the float range" in capsys.readouterr().err
 
 
 def test_flow_convexity_loss_exit_and_partial_trace(tmp_path, monkeypatch):

@@ -122,6 +122,69 @@ def test_radii_convexity_loss_error():
     assert min(exc.value.r1, exc.value.r2) <= 0
 
 
+def test_radii_match_padded_stencil_bitwise():
+    # the cached gather index and s + s against a fresh padded array and
+    # 2.0 * s, on the built-in profiles and a rough positive one per size
+    rng = np.random.default_rng(5)
+    for n in (33, 101, 201):
+        theta = _make_grid(n)
+        d, cot = theta[1] - theta[0], flowmod._cot_table(theta)
+        for s in (
+            ellipsoid_support(2.0, 1.0, n).s,
+            sphere_support(0.7, n).s,
+            rng.uniform(0.5, 2.0, n),
+        ):
+            got = flowmod._radii(s, d, cot)
+            want = oracles.padded_radii(s, d, cot)
+            for g, w in zip(got, want):
+                assert hex_row(g) == hex_row(w)
+
+
+def _reduction_cases():
+    """Length-33 arrays with NaN first/middle/last, +-inf, mixed +-0 and
+    all-equal values."""
+    base = np.linspace(-3.0, 5.0, 33)
+    cases = []
+    for at in (0, 16, 32):
+        x = base.copy()
+        x[at] = np.nan
+        cases.append(x)
+    x = base.copy()
+    x[[3, 20]] = np.nan
+    cases.append(x)
+    x = base.copy()
+    x[5], x[25] = np.inf, -np.inf
+    cases.append(x)
+    cases.append(np.full(33, np.inf))
+    cases.append(np.full(33, -np.inf))
+    cases.append(np.where(np.arange(33) % 2 == 0, 0.0, -0.0))
+    cases.append(np.where(np.arange(33) % 3 == 0, -0.0, 0.0))
+    cases.append(np.full(33, 1.25))
+    cases.append(base)
+    return cases
+
+
+def test_min_max_helpers_match_ufunc_reductions():
+    for x in _reduction_cases():
+        for helper, ufunc in (
+            (flowmod._min, np.minimum),
+            (flowmod._max, np.maximum),
+        ):
+            got, want = helper(x), ufunc.reduce(x)
+            assert np.isnan(got) == np.isnan(want)
+            assert np.isnan(want) or got == want
+
+
+def test_convex_rejects_nan_radius():
+    ones = np.ones(33)
+    assert flowmod._convex(ones, ones)
+    for at in (0, 16, 32):
+        bad = ones.copy()
+        bad[at] = np.nan
+        assert not flowmod._convex(bad, ones)
+        assert not flowmod._convex(ones, bad)
+
+
 # --- stepping --------------------------------------------------------------
 
 
@@ -145,13 +208,28 @@ def test_step_contracts_everywhere():
     assert (out.s < p.s).all()
 
 
-def test_step_rejects_bad_dt():
+def test_step_rejects_bad_dt(monkeypatch):
     p = sphere_support(1.0, n_nodes=101)
     with pytest.raises(StepRejectedError):
         step(p, SpeedFunction("gauss_power", 2.0), 10.0)
     # a step past the stage limit is rejected before any stage is taken
     with pytest.raises(StepRejectedError):
         step(p, SpeedFunction("gauss_power", 2.0), 1e300)
+    # one NaN stage rate, at the equator, makes that node's stages NaN, and
+    # the reductions must carry it to the convexity and positivity tests
+    real = flowmod._k_derivs
+
+    def nan_at_order_0(family, alpha, r1, r2, order=2):
+        out = real(family, alpha, r1, r2, order=order)
+        if order == 0:
+            out = out.copy()
+            out[out.size // 2] = np.nan
+        return out
+
+    monkeypatch.setattr(flowmod, "_k_derivs", nan_at_order_0)
+    speed = SpeedFunction("gauss_power", 2.0)
+    with pytest.raises(StepRejectedError):
+        step(p, speed, adaptive_dt(p, speed))
 
 
 def test_adaptive_dt_frozen():
