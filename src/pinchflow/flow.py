@@ -14,8 +14,8 @@ stages only, with a stability interval that grows as the square of the
 stage count, so the step follows accuracy rather than the parabolic limit.
 Three kernels make up the stepper.  `_rate_and_cap` gives the rate
 -k^(-alpha) and the cap max(df1 + df2) at the start of a step;
-`_step_dt` turns them into the step, a fixed fraction `_EPS` of the
-remaining shrinking-sphere lifetime but never less than the explicit
+`_step_dt` turns them into the step, a fixed fraction `_EPS` (0.004) of
+the remaining shrinking-sphere lifetime but never less than the explicit
 parabolic step `_FLOOR` * dtheta^2 / cap; `_rkc` takes the step in as many
 stages as `_stage_count` asks for, or rejects it (the caller halves dt).
 They ask `speeds._k_derivs` for no more than they read: `_rate_and_cap`
@@ -24,7 +24,10 @@ min |speed| for order 0 (k alone), so no second derivative is formed per
 step.  `run` loops over them on bare arrays; `step` and `adaptive_dt`
 wrap the same kernels for one SupportProfile, so iterating
 `step(p, speed, adaptive_dt(p, speed))` reproduces `run` bit for bit
-while no step is rejected.  On these short arrays a step costs numpy's
+while no step is rejected, up to `run`'s last step: that one is shortened
+by a secant step in dt so that min s lands on the stop target, and no
+reported value depends on `_EPS` through where the run stops.  On these
+short arrays a step costs numpy's
 per-call dispatch more than arithmetic, so every whole-array min or max on
 the stepper path is one argmin or argmax and an index (`_min`, `_max`:
 argmin and argmax stop at the first NaN, so a NaN propagates as through
@@ -41,6 +44,13 @@ the stacked block when the block is full and once after its loop.  A record
 is a `FlowRecord` NamedTuple whose fields are the trace CSV's columns, so a
 record is its own CSV row from the kernel to the file.
 
+The extinction time T comes from (t, a0) at every step, not from the
+records: a0 is the l = 0 Legendre amplitude of s (`_a0_weights`), the
+radius of a sphere wherever it sits on the axis, and it carries the l = 2
+mode of a rounding body only at second order.  `extinction_estimate` fits
+a0^(alpha+1), linear in t on a shrinking sphere, over the last tenth of
+the steps, so T and the rescaled deviation do not depend on `record_every`.
+
 Grids are kept mirror-symmetric bit for bit: the cotangent table and the
 built-in initial profiles are constructed on the upper half and reflected,
 `_radii` adds the two neighbours of a node before anything else (addition
@@ -51,6 +61,7 @@ stays exactly symmetric under the flow (the acceptance checks rely on this).
 
 import functools
 import math
+import sys
 from dataclasses import asdict, dataclass, fields
 from typing import NamedTuple
 
@@ -71,8 +82,11 @@ _RECORD_BLOCK = 64
 # A step advances _EPS of the smallest remaining shrinking-sphere lifetime
 # over the nodes, but never less than the explicit parabolic step
 # _FLOOR * dtheta^2 / max(df1 + df2), so a coarse grid takes no more steps
-# than the explicit scheme (`_step_dt`).
-_EPS = 0.003
+# than the explicit scheme (`_step_dt`).  The stepping error at the stop
+# grows as _EPS^2, most where a step takes two stages: a round sphere at
+# N = 33 under sum_power, alpha 2, leaves its radius law by 7.7e-4 at 0.004
+# and by 1.2e-3 at 0.005, against the 1e-3 that the sphere checks allow.
+_EPS = 0.004
 _FLOOR = 0.25
 
 # Damping of the RKC stability polynomial: inside the stability interval
@@ -253,8 +267,16 @@ def _stage_count(dt, cap, d):
     """RKC stages for a step of dt: the damped stability interval, about
     0.653 n^2, must hold dt * rho, where rho = (4 / d^2 + 1) cap bounds the
     spectral radius of the tridiagonal Jacobian (Gershgorin's rows).  A step
-    that needs more than _MAX_STAGES gets _MAX_STAGES + 1."""
-    rho = (4.0 / (d * d) + 1.0) * cap
+    that needs more than _MAX_STAGES gets _MAX_STAGES + 1.  Raises
+    DomainError when rho leaves the float range although the cap does not:
+    every stage count would then exceed _MAX_STAGES."""
+    gershgorin = 4.0 / (d * d) + 1.0
+    if cap > sys.float_info.max / gershgorin:
+        raise DomainError(
+            f"speed out of the float range: the spectral bound {gershgorin} "
+            f"* {cap} on the diffusion cap is not finite"
+        )
+    rho = gershgorin * cap
     return max(2, 1 + int(math.sqrt(min(1.54 * dt * rho + 1.0, _MAX_STAGES**2))))
 
 
@@ -356,6 +378,17 @@ def _grid_tables(theta):
     """cos, sin and the trapezoid widths of the grid: the fixed inputs of
     `_diagnose`, computed once per run."""
     return np.cos(theta), np.sin(theta), np.diff(theta)
+
+
+def _a0_weights(tables):
+    """Trapezoid weights times sin theta, scaled to sum to 1: the l = 0
+    Legendre amplitude of s is a0 = sum(weights * s), the radius of a
+    sphere about any centre on the axis (the l = 1 mode, a translation,
+    integrates out)."""
+    _, sin, w = tables
+    trap = np.concatenate(([0.0], w)) + np.concatenate((w, [0.0]))
+    weights = trap * sin
+    return weights / np.add.reduce(weights)
 
 
 def _diagnose(tables, d, s, r1, r2, diff, speed):
@@ -471,10 +504,11 @@ class FlowTrace:
     status: str  # extinct_fraction | max_steps | convexity_loss
     steps: int
     stages: int  # RKC stage counts (rate evaluations) of every attempted step
-    rejected: int  # attempts rejected, each followed by a dt halving
+    rejected: int  # attempts rejected: a dt halving, or a kept full last step
     t_final: float
     profile: SupportProfile
     initial_min_support: float
+    samples: tuple  # (t, a0) arrays at every step, the extinction fit's input
     # terminal fields, filled once the stop fraction is reached
     t_extinct: float = None
     extinction_center: float = None
@@ -482,13 +516,14 @@ class FlowTrace:
     deviation: float = None
 
     def summary_dict(self):
-        """summary.json: every field but records and profile, three columns'
-        pinching drifts and monotone flags (None and False with no records),
-        and the exact sphere extinction time when the start is round."""
+        """summary.json: every field but records, profile and samples, three
+        columns' pinching drifts and monotone flags (None and False with no
+        records), and the exact sphere extinction time when the start is
+        round."""
         out = {
             f.name: getattr(self, f.name)
             for f in fields(self)
-            if f.name not in ("records", "profile")
+            if f.name not in ("records", "profile", "samples")
         }
         out["config"] = asdict(self.config)
         drifts = {
@@ -524,14 +559,18 @@ def _flush(records, pending, tables, d, speed):
 
 
 def run(config: FlowConfig, profile=None) -> FlowTrace:
-    """Integrate until the minimum support drops below stop_fraction of its
+    """Integrate until the minimum support reaches stop_fraction of its
     initial value (or max_steps).  Each step starts from the `adaptive_dt`
     step and takes the `step` RKC update through the same kernels, halving
-    dt (and so recounting stages) on rejection.  The loop carries bare
-    arrays, since a SupportProfile per step would re-validate the grid; the
-    arrays `_rkc` returns feed both the next step and the records, which are
-    rows of the trace CSV.  A given `profile` must have `config.n_nodes`
-    nodes.
+    dt (and so recounting stages) on rejection.  The step that crosses the
+    target is taken again, shortened by one secant step in dt so that the
+    minimum support lands on the target; if the short step is rejected, the
+    full one stands.  The loop carries bare arrays, since a SupportProfile
+    per step would re-validate the grid; the arrays `_rkc` returns feed both
+    the next step and the records, which are rows of the trace CSV.  Every
+    step also keeps (t, a0), a0 the l = 0 amplitude of s (`_a0_weights`),
+    for the extinction fit, so the fit does not depend on `record_every`.
+    A given `profile` must have `config.n_nodes` nodes.
 
     There is one exit.  A nonconvex initial profile, or a rejection that
     survives eight halvings, ends the loop with status "convexity_loss";
@@ -552,6 +591,7 @@ def run(config: FlowConfig, profile=None) -> FlowTrace:
     cot = _cot_table(theta)
     d = profile.dtheta
     tables = _grid_tables(theta)
+    weights = _a0_weights(tables)
 
     records = []
     pending = []  # (n, t, dt, s, r1, r2, diff) of records not yet built
@@ -559,8 +599,9 @@ def run(config: FlowConfig, profile=None) -> FlowTrace:
     n = stages = rejected = 0
     dt = 0.0
     s = profile.s
-    s0_min = float(s.min())
+    s0_min = m = float(s.min())
     target = config.stop_fraction * s0_min
+    ts, a0s = [t], [np.add.reduce(weights * s)]
     status = error = None
     try:
         r1, r2, diff = _convex_radii(theta, s, d, cot)
@@ -585,12 +626,24 @@ def run(config: FlowConfig, profile=None) -> FlowTrace:
                 f"convexity lost at t={t:.6e} despite dt halving", node=-1
             )
             break
+        m_new = _min(out[0])
+        if m_new <= target:
+            status = "extinct_fraction"
+            short = dt * ((m - target) / (m - m_new))
+            n_stages = _stage_count(short, cap, d)
+            stages += n_stages
+            landed = _rkc(fam, alpha, s, rate0, short, n_stages, d, cot)
+            if landed is None:
+                rejected += 1
+            else:
+                out, dt = landed, short
         s, r1, r2, diff = out
+        m = m_new
         t += dt
         n += 1
-        if _min(s) <= target:
-            status = "extinct_fraction"
-        elif n >= config.max_steps:
+        ts.append(t)
+        a0s.append(np.add.reduce(weights * s))
+        if status is None and n >= config.max_steps:
             status = "max_steps"
         if status or n % config.record_every == 0:
             pending.append((n, t, dt, s, r1, r2, diff))
@@ -608,6 +661,7 @@ def run(config: FlowConfig, profile=None) -> FlowTrace:
         t_final=t,
         profile=final,
         initial_min_support=s0_min,
+        samples=(np.array(ts), np.array(a0s)),
     )
     if error is not None:
         error.trace = trace
@@ -656,34 +710,38 @@ class ExtinctionEstimate:
 
 
 def extinction_estimate(trace: FlowTrace) -> ExtinctionEstimate:
-    """Extrapolated extinction time from the tail of the recorded trace.
+    """Extrapolated extinction time from the trace's (t, a0) samples.
 
-    min_support^(alpha+1) decays asymptotically linearly in t (exactly so
-    for spheres), so a straight-line fit over the final tenth of the records
-    extrapolates to zero.  The flag goes up when the tail is too short or
-    the fitted slope fails to be negative.
+    a0^(alpha+1) falls linearly in t on a shrinking sphere about any centre
+    on the axis, and on a rounding body the l = 2 mode enters a0 only at
+    second order (min s carries it at first), so a straight-line fit over
+    the last tenth of the steps (at least 5) extrapolates to zero.  The fit
+    runs on t over its last value and a0 over its first, so it holds for
+    bodies far below or above unit size.  The flag goes up when the tail is
+    too short or the fitted slope fails to be negative.
     """
     alpha = float(trace.config.alpha)
-    ts = np.array([r.t for r in trace.records])
-    ms = np.array([r.min_support for r in trace.records])
+    ts, a0s = trace.samples
     k = max(5, len(ts) // 10)
-    tail_t, tail_y = ts[-k:], ms[-k:] ** (alpha + 1.0)
+    tail_t, tail_a = ts[-k:], a0s[-k:]
+    t_scale, a_scale = tail_t[-1], tail_a[0]
+    x, y = tail_t / t_scale, (tail_a / a_scale) ** (alpha + 1.0)
     low = len(ts) < 5
-    if len(tail_t) >= 2 and np.ptp(tail_t) > 0:
-        slope, intercept = np.polyfit(tail_t, tail_y, 1)
+    if len(x) >= 2 and np.ptp(x) > 0:
+        slope, intercept = np.polyfit(x, y, 1)
     else:
-        slope, intercept = 0.0, float(tail_y[-1])
+        slope, intercept = 0.0, float(y[-1])
         low = True
     if slope >= 0:
         low = True
-        t_ext = float(tail_t[-1])
+        t_ext = float(t_scale)
     else:
-        t_ext = float(-intercept / slope)
-        if t_ext <= tail_t[-1]:
+        t_ext = float(-intercept / slope * t_scale)
+        if t_ext <= t_scale:
             low = True
     return ExtinctionEstimate(
         t_extinct=t_ext,
-        slope=float(slope),
+        slope=float(slope * a_scale ** (alpha + 1.0) / t_scale),
         rows_used=int(len(tail_t)),
         center_z=float(trace.records[-1].center_z),
         low_confidence=bool(low),

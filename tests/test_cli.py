@@ -195,13 +195,13 @@ REPORT_SHA256 = [
     pytest.param(
         FLOW_ARGV,
         "summary.json",
-        "3ee813d271a368d40796f7a737f03602d6214cc75ddea49039c92c0dc1c4453a",
+        "cd69ee3bbc6d898b167cabb62c47ca556ba466445415532ef83a2266fc66c0f9",
         id="flow-mean-summary",
     ),
     pytest.param(
         FLOW_ARGV,
         "trace.csv",
-        "cd1f59e408c3c2451aa120fd24e9967d18431678fcee9ee308a5ab3054dd06c5",
+        "58b5c8a68985b27d18b87b89795ec3812ec205e8426bad25fe008617ac526cdf",
         id="flow-mean-trace",
     ),
     pytest.param(  # find_threshold's default tolerance is 0.05
@@ -451,6 +451,28 @@ def test_flow_rejects_infinite_semi_axes(tmp_path, capsys):
         argv = ("flow", "--family", "gauss_power", "--n-nodes", "33")
         assert invoke(*argv, "--alpha", alpha, "--a", a, "--b", b) == 2
         assert "speed out of the float range" in capsys.readouterr().err
+
+
+def test_flow_spectral_bound_overflow_exits_2(capsys):
+    # the cap stays finite while (4 / dtheta^2 + 1) * cap overflows, late in
+    # the flow: every stage count would exceed the cap on stages
+    argv = ("flow", "--family", "gauss_power", "--alpha", "10", "--n-nodes", "33")
+    assert invoke(*argv, "--a", "1e-27", "--b", "5e-28") == 2
+    assert "speed out of the float range" in capsys.readouterr().err
+
+
+def test_flow_below_float_range_scales(tmp_path):
+    # s -> 1e-100 s scales t by 1e-200 at alpha = 1, and the fit, run on
+    # scaled t and a0, follows; the two flows agree to 4e-15 in T
+    docs = []
+    for i, (a, b) in enumerate((("2", "1"), ("2e-100", "1e-100"))):
+        out = tmp_path / str(i)
+        argv = ("flow", "--family", "gauss_power", "--alpha", "1", "--n-nodes", "33")
+        assert invoke(*argv, "--a", a, "--b", b, "--out", str(out)) == 0
+        docs.append(json.loads((out / "summary.json").read_text()))
+    unit, tiny = docs
+    assert tiny["status"] == "extinct_fraction" and tiny["steps"] == unit["steps"]
+    assert tiny["t_extinct"] == pytest.approx(1e-200 * unit["t_extinct"], rel=1e-12)
 
 
 def test_flow_convexity_loss_exit_and_partial_trace(tmp_path, monkeypatch):

@@ -233,14 +233,15 @@ def test_step_rejects_bad_dt(monkeypatch):
 
 
 def test_adaptive_dt_frozen():
-    # unit sphere, gauss, alpha=2: the lifetime 1/3, so the step is 0.003 of it
+    # unit sphere, gauss, alpha=2: the lifetime 1/3, so the step is 0.004 of it
     speed = SpeedFunction("gauss_power", 2.0)
     dt = adaptive_dt(sphere_support(1.0, n_nodes=201), speed)
-    assert dt == pytest.approx(0.003 / 3.0, rel=1e-12)
-    # at N = 33 the explicit parabolic step (fdot1 + fdot2 = 2), 1.2e-3, is
-    # larger and is taken instead
+    assert dt == pytest.approx(0.004 / 3.0, rel=1e-12)
+    # at N = 33 and alpha = 1 the explicit parabolic step (fdot1 + fdot2 = 1),
+    # 2.4e-3, is larger than 0.004 of the lifetime 1/2 and is taken instead
+    speed = SpeedFunction("gauss_power", 1.0)
     dt = adaptive_dt(sphere_support(1.0, n_nodes=33), speed)
-    assert dt == pytest.approx(oracles.cfl_dt(math.pi / 32, 0.25, 2.0), rel=1e-12)
+    assert dt == pytest.approx(oracles.cfl_dt(math.pi / 32, 0.25, 1.0), rel=1e-12)
 
 
 def test_adaptive_dt_scaling():
@@ -285,13 +286,14 @@ def test_step_and_run_agree_bit_for_bit(family, alpha):
 
 
 # (steps, float.hex(t_extinct), float.hex(profile.s.sum())) of a short flow
-# per family, frozen from the RKC stepper with the mirror-exact stencil: any
-# change to the rounding of the hot loop moves one of them
+# per family, frozen from the RKC stepper with the mirror-exact stencil, the
+# secant-landed stop and the a0 fit: any change to the rounding of the hot
+# loop moves one of them
 HOT_LOOP_PINS = {
-    "gauss_power": (1757, "0x1.73b5628dd874ap-1", "0x1.aa21d5234a327p+2"),
-    "mean_power": (1788, "0x1.e62405dfcb093p-3", "0x1.aca4800f50752p+2"),
-    "norm_power": (1820, "0x1.736ef825d4519p-2", "0x1.b3ae6adeeadc3p+2"),
-    "sum_power": (1805, "0x1.47f97c8375fe4p-2", "0x1.af8e5c55a90d3p+2"),
+    "gauss_power": (1426, "0x1.738860b74ef2fp-1", "0x1.aa833a6de6420p+2"),
+    "mean_power": (1419, "0x1.e5ba68ca7506dp-3", "0x1.ad0370dfa2852p+2"),
+    "norm_power": (1400, "0x1.72f9e3608f64ap-2", "0x1.b435d340c9670p+2"),
+    "sum_power": (1412, "0x1.47b48846a6d75p-2", "0x1.af994dde9bc4fp+2"),
 }
 
 
@@ -312,10 +314,10 @@ def test_run_hot_loop_bytes_pinned(family):
 # one line of float.hex fields per record, frozen with HOT_LOOP_PINS: a
 # rounding change that `diagnostics` shares moves them
 RECORD_PINS = {
-    "gauss_power": "924900fedaf24caf355b08719493b44f06f9e5681429059c7144cedf536e09c2",
-    "mean_power": "e0c97018d9984a4f5d5cf674dbb75581fb67f0f2fbd0f2626ecbd20235f15e12",
-    "norm_power": "f3f7c68f515250986ce3536de749671eb746fa89def696ae4d5d4e9515212ce7",
-    "sum_power": "adee92fb243030b8b806645501828151a40dd2d420d6c2f2f600cbcae89d22e8",
+    "gauss_power": "add3d0fed7ca1ef69aca651af06e95db7eac07ddd89d7fafff5595d9ad3307d1",
+    "mean_power": "132af3589f63c97b0e9b61f170a117d6944a6e28d747dc26f6efb68c9092e85e",
+    "norm_power": "5c92231abddc6bd342c5d4352e6c09456e8878c75cd384a855dd79b5d119072d",
+    "sum_power": "569928421cf7d9cba55ed574cd0c382ced2f5b48eceb68c347bae5070d62d6d0",
 }
 
 
@@ -389,6 +391,40 @@ def test_run_translated_sphere_center():
     trace = run(cfg, profile=prof)
     assert trace.t_extinct is not None
     assert trace.extinction_center == pytest.approx(0.3, abs=2e-3)
+
+
+@pytest.mark.parametrize("alpha", [1.0, 2.0])
+def test_run_translated_sphere_extinction(alpha):
+    # a unit sphere 0.2 up the axis: a0 is its radius wherever its centre
+    # sits, so T and the recentred deviation are those of the round sphere
+    theta = _make_grid(101)
+    prof = SupportProfile(theta=theta, s=1.0 + 0.2 * np.cos(theta), time=0.0)
+    cfg = FlowConfig("gauss_power", alpha, n_nodes=101, stop_fraction=0.1)
+    trace = run(cfg, profile=prof)
+    assert trace.status == "extinct_fraction"
+    assert abs(trace.t_extinct - oracles.sphere_time_oracle(1.0, alpha)) <= 1e-5
+    assert trace.deviation <= 1e-3
+
+
+def test_run_extinction_independent_of_record_every():
+    # the fit reads (t, a0) at every step, and the last record is the stop
+    traces = [
+        run(FlowConfig("gauss_power", 1.0, a=2.0, b=1.0, n_nodes=51, record_every=k))
+        for k in (1, 100)
+    ]
+    assert len(traces[0].records) > len(traces[1].records)
+    for name in ("t_extinct", "extinction_center", "deviation"):
+        assert getattr(traces[0], name) == getattr(traces[1], name), name
+
+
+@pytest.mark.parametrize("family", oracles.FAMILIES)
+def test_run_lands_on_stop(family):
+    # the crossing step is shortened by one secant step in dt, so the final
+    # minimum support is the target to within the secant's error
+    cfg = FlowConfig(family, 1.5, a=2.0, b=1.0, n_nodes=51, stop_fraction=0.1)
+    trace = run(cfg)
+    target = cfg.stop_fraction * trace.initial_min_support
+    assert abs(trace.profile.s.min() / target - 1.0) <= 1e-5
 
 
 def test_run_monotone_smoke():
