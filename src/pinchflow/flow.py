@@ -98,6 +98,20 @@ _DAMPING = 2.0 / 13.0
 # loses convexity (the caller halves dt), so no dt buys unbounded work.
 _MAX_STAGES = 1000
 
+# Where the speed leaves the float range the stepper's kernels overflow (or
+# form 0/0, as norm_power's k1 does once q^3 underflows).  Each such value
+# ends the step the same way: a non-finite cap raises DomainError in
+# `_rate_and_cap`, and a non-finite stage gives a NaN radius, which fails
+# `_convex`, or a -inf support, which fails the positivity test, so `_rkc`
+# rejects the step.  `run`, `step` and `adaptive_dt` silence these warnings
+# once per call: an errstate per kernel call costs more than the power it
+# guards.  `run` builds its records under the caller's error state, so a
+# diagnostic that overflows still warns.
+_QUIET = dict(over="ignore", invalid="ignore")
+
+# Capacity of `run`'s (t, a0) sample arrays before their first doubling.
+_SAMPLES = 256
+
 # A recorded column counts as monotone in `FlowTrace.summary_dict` when its
 # `pinching_drift` is at most this.
 MONOTONE_TOL = 1e-3
@@ -355,9 +369,10 @@ def step(profile, speed, dt) -> SupportProfile:
     r1, r2, _ = _radii(profile.s, d, cot)
     out = None
     if _convex(r1, r2):
-        rate0, cap = _rate_and_cap(family, alpha, r1, r2)
-        n_stages = _stage_count(dt, cap, d)
-        out = _rkc(family, alpha, profile.s, rate0, dt, n_stages, d, cot)
+        with np.errstate(**_QUIET):
+            rate0, cap = _rate_and_cap(family, alpha, r1, r2)
+            n_stages = _stage_count(dt, cap, d)
+            out = _rkc(family, alpha, profile.s, rate0, dt, n_stages, d, cot)
     if out is None:
         raise StepRejectedError(
             f"step to t={t_new} rejected: convexity or positivity lost"
@@ -370,7 +385,8 @@ def adaptive_dt(profile, speed):
     shrinking-sphere lifetime, floored at _FLOOR * dtheta^2 / max(df1 + df2)."""
     rf = radii_from_support(profile)
     alpha = float(speed.alpha)
-    rate0, cap = _rate_and_cap(speed.family, alpha, rf.r1, rf.r2)
+    with np.errstate(**_QUIET):
+        rate0, cap = _rate_and_cap(speed.family, alpha, rf.r1, rf.r2)
     return _step_dt(profile.s, rate0, cap, profile.dtheta, alpha)
 
 
@@ -545,6 +561,11 @@ class FlowTrace:
         return out
 
 
+def _doubled(x):
+    """x followed by as many unset slots."""
+    return np.concatenate((x, np.empty_like(x)))
+
+
 def _flush(records, pending, tables, d, speed):
     """Append the FlowRecords of the pending (n, t, dt, s, r1, r2, diff)
     entries, stacked into one block for one `_diagnose` call, and empty
@@ -601,7 +622,9 @@ def run(config: FlowConfig, profile=None) -> FlowTrace:
     s = profile.s
     s0_min = m = float(s.min())
     target = config.stop_fraction * s0_min
-    ts, a0s = [t], [np.add.reduce(weights * s)]
+    # (t, a0) at the start and after each step, in arrays doubled when full
+    ts, a0s = np.empty(_SAMPLES), np.empty(_SAMPLES)
+    ts[0], a0s[0] = t, np.add.reduce(weights * s)
     status = error = None
     try:
         r1, r2, diff = _convex_radii(theta, s, d, cot)
@@ -609,46 +632,51 @@ def run(config: FlowConfig, profile=None) -> FlowTrace:
         status, error = "convexity_loss", err
     else:
         pending.append((n, t, dt, s, r1, r2, diff))
-    while status is None:
-        rate0, cap = _rate_and_cap(fam, alpha, r1, r2)
-        dt = _step_dt(s, rate0, cap, d, alpha)
-        for _ in range(8):
-            n_stages = _stage_count(dt, cap, d)
-            stages += n_stages
-            out = _rkc(fam, alpha, s, rate0, dt, n_stages, d, cot)
-            if out is not None:
-                break
-            rejected += 1
-            dt *= 0.5
-        else:
-            status = "convexity_loss"
-            error = ConvexityLossError(
-                f"convexity lost at t={t:.6e} despite dt halving", node=-1
-            )
-            break
-        m_new = _min(out[0])
-        if m_new <= target:
-            status = "extinct_fraction"
-            short = dt * ((m - target) / (m - m_new))
-            n_stages = _stage_count(short, cap, d)
-            stages += n_stages
-            landed = _rkc(fam, alpha, s, rate0, short, n_stages, d, cot)
-            if landed is None:
+    caller = np.geterr()
+    with np.errstate(**_QUIET):
+        while status is None:
+            rate0, cap = _rate_and_cap(fam, alpha, r1, r2)
+            dt = _step_dt(s, rate0, cap, d, alpha)
+            for _ in range(8):
+                n_stages = _stage_count(dt, cap, d)
+                stages += n_stages
+                out = _rkc(fam, alpha, s, rate0, dt, n_stages, d, cot)
+                if out is not None:
+                    break
                 rejected += 1
+                dt *= 0.5
             else:
-                out, dt = landed, short
-        s, r1, r2, diff = out
-        m = m_new
-        t += dt
-        n += 1
-        ts.append(t)
-        a0s.append(np.add.reduce(weights * s))
-        if status is None and n >= config.max_steps:
-            status = "max_steps"
-        if status or n % config.record_every == 0:
-            pending.append((n, t, dt, s, r1, r2, diff))
-            if len(pending) >= _RECORD_BLOCK:
-                _flush(records, pending, tables, d, speed)
+                status = "convexity_loss"
+                error = ConvexityLossError(
+                    f"convexity lost at t={t:.6e} despite dt halving", node=-1
+                )
+                break
+            m_new = _min(out[0])
+            if m_new <= target:
+                status = "extinct_fraction"
+                short = dt * ((m - target) / (m - m_new))
+                n_stages = _stage_count(short, cap, d)
+                stages += n_stages
+                landed = _rkc(fam, alpha, s, rate0, short, n_stages, d, cot)
+                if landed is None:
+                    rejected += 1
+                else:
+                    out, dt = landed, short
+            s, r1, r2, diff = out
+            m = m_new
+            t += dt
+            n += 1
+            if n == ts.size:
+                ts, a0s = _doubled(ts), _doubled(a0s)
+            ts[n] = t
+            a0s[n] = np.add.reduce(weights * s)
+            if status is None and n >= config.max_steps:
+                status = "max_steps"
+            if status or n % config.record_every == 0:
+                pending.append((n, t, dt, s, r1, r2, diff))
+                if len(pending) >= _RECORD_BLOCK:
+                    with np.errstate(**caller):
+                        _flush(records, pending, tables, d, speed)
     _flush(records, pending, tables, d, speed)
     final = SupportProfile(theta, s, t)
     trace = FlowTrace(
@@ -661,7 +689,7 @@ def run(config: FlowConfig, profile=None) -> FlowTrace:
         t_final=t,
         profile=final,
         initial_min_support=s0_min,
-        samples=(np.array(ts), np.array(a0s)),
+        samples=(ts[: n + 1], a0s[: n + 1]),
     )
     if error is not None:
         error.trace = trace

@@ -18,12 +18,17 @@ FAMILIES[i % 4], so each family's draws take one pass through the generic
 kernels the per-point API runs too (`speeds._f_derivs`,
 `pinching._zero_order`, `pinching._q_full`).  The reports are bit for bit
 those of a draw-at-a-time loop, the reference in `tests/oracles.py`: the
-draws are the doubles per-call `Generator.uniform` gives, the worst draw
-is the first with the largest ratio, and the arrays are
-`_ScalarPow` views whose `**` is `np.float_power`.  numpy's array power can
-take SIMD code that differs in the last bit from libm's `pow`, which Python
-floats and numpy scalars use; `np.float_power` calls `pow` element by
-element.  The flow keeps numpy's array power.
+worst draw is the first with the largest ratio, and the draws are the
+doubles per-call `Generator.uniform` gives.  `Generator.random` takes one
+64-bit word per double whatever the size asked for, so the zero-order
+suite draws all its uniforms in one call.  The reduction suite's rows
+also hold a `normal` pair, which takes a variable number of words, so
+each row costs two calls on the same stream: the pair, then one fill of
+the row's last uniform and the next row's first three (`_reduction_rows`).
+The arrays are `_ScalarPow` views whose `**` is `np.float_power`.  numpy's
+array power can take SIMD code that differs in the last bit from libm's
+`pow`, which Python floats and numpy scalars use; `np.float_power` calls
+`pow` element by element.  The flow keeps numpy's array power.
 
 The grid suite makes one pass per family as well, alpha a column against
 the t row.  Its report is the per-alpha loop's (the reference in
@@ -187,17 +192,30 @@ def _reduction_ratio(family, alpha, r1, r2, t1, t2):
     return abs(residual) / scale
 
 
+def _reduction_rows(draws, seed):
+    """The (draws, 6) rows (u0, u1, u2, n0, n1, u5) of the reduction suite,
+    each drawn from one stream as random(), random(), random(),
+    *normal(size=2), random() would draw it, in row order.
+
+    `Generator.random` takes one 64-bit word per double however many it is
+    asked for, so a row's last uniform and the next row's first three are one
+    fill of four; `normal` takes a variable number of words (its ziggurat
+    rejects and redraws), so it stays one call of two per row and the stream
+    is consumed in the same order.  On the last row the fill is one long."""
+    rng = np.random.default_rng(seed)
+    rows = np.empty((max(draws, 0), 6))
+    flat = rows.reshape(-1)
+    rng.random(out=flat[:3])
+    for j in range(0, flat.size, 6):
+        flat[j + 3 : j + 5] = rng.normal(size=2)
+        rng.random(out=flat[j + 5 : j + 9])
+    return rows
+
+
 def reduction_suite(draws=1000, seed=0):
     """Full quadratic form minus (Q1 T1^2 + Q2 T2^2), relative to
     max(|Q1 T1^2|, |Q2 T2^2|, 1), over random draws."""
-    rng = np.random.default_rng(seed)
-    # drawn one at a time: normal() takes a variable number of words from
-    # the stream, so a bulk draw would change every draw after the first
-    rows = [
-        (rng.random(), rng.random(), rng.random(), *rng.normal(size=2), rng.random())
-        for _ in range(draws)
-    ]
-    u = np.array(rows, dtype=float).reshape(-1, 6).view(_ScalarPow)
+    u = _reduction_rows(draws, seed).view(_ScalarPow)
     alpha, r1, r2 = _scaled(u)
     t1, t2 = u[:, 3:5].T * 10.0 ** (-2 + 4 * u[:, 5])
     ratio = _by_family(_reduction_ratio, alpha, r1, r2, t1, t2)

@@ -265,6 +265,17 @@ def z_residual_suite_loop(draws=10000, seed=0):
     }
 
 
+def reduction_rows_loop(draws, seed):
+    """identities._reduction_rows one scalar per generator call: the slow
+    reference for its two calls per row."""
+    rng = np.random.default_rng(seed)
+    rows = [
+        (rng.random(), rng.random(), rng.random(), *rng.normal(size=2), rng.random())
+        for _ in range(draws)
+    ]
+    return np.array(rows, dtype=float).reshape(-1, 6)
+
+
 def reduction_suite_loop(draws=1000, seed=0):
     """identities.reduction_suite one draw at a time: the slow reference for
     its array evaluation."""

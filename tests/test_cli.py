@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from dataclasses import fields
 
 import pytest
@@ -442,15 +443,21 @@ def test_flow_rejects_infinite_semi_axes(tmp_path, capsys):
     assert not out.exists()
     # finite semi-axes whose speed leaves the float range: the diffusion cap
     # overflows to inf or underflows to 0 at the first step (without --out,
-    # since the output directory is made before the flow runs)
-    for alpha, a, b in (
-        ("1", "1e-160", "2e-160"),
-        ("10", "2e40", "1e40"),
-        ("10", "2e-40", "1e-40"),
+    # since the output directory is made before the flow runs); the flow
+    # silences the overflow, so no warning comes before the message
+    for alpha, a, b, cap in (
+        ("1", "1e-160", "2e-160", "inf"),
+        ("10", "2e40", "1e40", "0.0"),
+        ("10", "2e-40", "1e-40", "inf"),
     ):
         argv = ("flow", "--family", "gauss_power", "--n-nodes", "33")
-        assert invoke(*argv, "--alpha", alpha, "--a", a, "--b", b) == 2
-        assert "speed out of the float range" in capsys.readouterr().err
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert invoke(*argv, "--alpha", alpha, "--a", a, "--b", b) == 2
+        assert capsys.readouterr().err.strip().endswith(
+            f"speed out of the float range: diffusion cap {cap} is not finite"
+            " and positive"
+        )
 
 
 def test_flow_spectral_bound_overflow_exits_2(capsys):

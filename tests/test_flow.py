@@ -3,6 +3,7 @@
 import dataclasses
 import hashlib
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -652,3 +653,79 @@ def test_infinite_inputs_rejected():
     ):
         with pytest.raises(DomainError):
             make()
+
+
+# (alpha, a, b, overflows) of gauss_power flows whose speed leaves the float
+# range: k^-(1 + alpha) overflows or underflows at the first step, or (last)
+# the spectral bound on the cap overflows late in the flow.  `overflows`
+# marks the cases whose kernels overflow before the DomainError.
+OUT_OF_RANGE = [
+    (1.0, 1e-160, 2e-160, True),
+    (10.0, 2e40, 1e40, False),
+    (10.0, 2e-40, 1e-40, True),
+    (10.0, 1e-27, 5e-28, False),
+]
+
+
+@pytest.mark.parametrize("family", oracles.FAMILIES)
+@pytest.mark.parametrize("alpha,a,b,overflows", OUT_OF_RANGE)
+def test_run_hidden_overflows_end_the_step(monkeypatch, family, alpha, a, b, overflows):
+    # each kernel call run makes is taken again with overflow and 0/0
+    # raised; where that raises, the call under run's guard must raise
+    # DomainError (the cap) or reject the step (a stage)
+    real_cap, real_rkc = flowmod._rate_and_cap, flowmod._rkc
+    hidden = []
+
+    def raised(real, args):
+        try:
+            with np.errstate(over="raise", invalid="raise"):
+                real(*args)
+        except FloatingPointError:
+            hidden.append(real.__name__)
+            return True
+        return False
+
+    def cap(*args):
+        if raised(real_cap, args):
+            with pytest.raises(DomainError) as err:
+                real_cap(*args)
+            raise err.value
+        return real_cap(*args)
+
+    def rkc(*args):
+        out = real_rkc(*args)
+        assert out is None or not raised(real_rkc, args)
+        return out
+
+    monkeypatch.setattr(flowmod, "_rate_and_cap", cap)
+    monkeypatch.setattr(flowmod, "_rkc", rkc)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match="speed out of the float range"):
+            run(FlowConfig(family, alpha, a=a, b=b, n_nodes=33))
+    assert bool(hidden) == overflows
+
+
+def test_stage_overflow_rejects_the_step():
+    # a first stage that takes the unit sphere to 2^-40 of its support makes
+    # the next stage rate k^-30 overflow; under the flow's guard that stage
+    # turns NaN radii, and `_rkc` rejects the step
+    theta = _make_grid(33)
+    d, cot, s = theta[1], flowmod._cot_table(theta), np.ones(33)
+    mu_t1, _ = flowmod._rkc_coefficients(3)
+    rate0 = -(1.0 - 2.0**-40) / mu_t1 * s
+    args = ("gauss_power", 30.0, s, rate0, 1.0, 3, d, cot)
+    with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+        flowmod._rkc(*args)
+    with np.errstate(**flowmod._QUIET):
+        assert flowmod._rkc(*args) is None
+
+
+def test_step_and_adaptive_dt_out_of_range_do_not_warn():
+    p = ellipsoid_support(2e-40, 1e-40, n_nodes=33)
+    speed = SpeedFunction("gauss_power", 10.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for call in (lambda: adaptive_dt(p, speed), lambda: step(p, speed, 1e-300)):
+            with pytest.raises(DomainError, match="speed out of the float range"):
+                call()

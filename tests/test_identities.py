@@ -6,6 +6,7 @@ import pytest
 
 from pinchflow.identities import (
     _agreement_grid,
+    _reduction_rows,
     closed_agreement_suite,
     reduction_suite,
     z_residual_suite,
@@ -34,6 +35,14 @@ def test_suites_match_per_draw_reference(seed, draws):
     for suite, reference in SUITES:
         got = canonical_json(suite(draws=draws, seed=seed))
         assert got == canonical_json(reference(draws=draws, seed=seed)), suite.__name__
+
+
+@pytest.mark.parametrize("seed", [0, 7, 17, 34, 134, 310, 12345])
+@pytest.mark.parametrize("draws", [-3, 0, 1, 2, 3, 4, 5, 1000])
+def test_reduction_rows_match_per_scalar_draws(draws, seed):
+    rows = _reduction_rows(draws, seed)
+    assert rows.shape == (max(draws, 0), 6)
+    assert np.array_equal(rows, oracles.reduction_rows_loop(draws, seed))
 
 
 @pytest.mark.parametrize("draws", [0, -3])
