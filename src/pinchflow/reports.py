@@ -118,13 +118,16 @@ def strip_timestamp(text: str) -> str:
 
 
 def write_trace_csv(path, columns, rows):
-    """Plain CSV with %.17g floats; `rows` is an iterable of tuples."""
+    """Plain CSV with %.17g floats; `rows` is an iterable of tuples whose
+    columns all have the first row's types.  One `%` format, built from the
+    first row (%.17g for a float, %s otherwise), writes every row."""
     with open(path, "w") as fh:
         fh.write(",".join(columns) + "\n")
+        fmt = None
         for row in rows:
-            fh.write(
-                ",".join(
-                    "%.17g" % v if isinstance(v, float) else str(v) for v in row
+            if fmt is None:
+                fmt = (
+                    ",".join("%.17g" if isinstance(v, float) else "%s" for v in row)
+                    + "\n"
                 )
-                + "\n"
-            )
+            fh.write(fmt % row)

@@ -6,10 +6,11 @@ differences or sympy, with no reference to the package's analytic
 derivative code — agreement is a genuine cross-check rather than a
 tautology.  Frozen reference values carry their derivations as comments.
 
-The slow references (`reference_flow`, the per-draw and per-alpha identity
-suites, the per-alpha power-sum numerators, the Fraction Descartes engine
-and the Sturm-chain sign engine) are the code paths the package's fast paths replaced, kept here so the
-tests can require the same results from both.
+The slow references (`reference_flow`, the per-value trace writer, the
+per-draw and per-alpha identity suites, the per-alpha power-sum numerators,
+the Fraction Descartes engine and the Sturm-chain sign engine) are the code
+paths the package's fast paths replaced, kept here so the tests can require
+the same results from both.
 """
 
 import math
@@ -175,6 +176,20 @@ def reference_flow(profile, speed, t_end, safety=0.25):
         s = s + dt * speed_value(fam, alpha, rm1, rm2)
         t = t + dt
     return s, t
+
+
+def write_trace_csv_per_value(path, columns, rows):
+    """reports.write_trace_csv one value at a time: %.17g for each float and
+    str() for anything else.  The slow reference for its one row format."""
+    with open(path, "w") as fh:
+        fh.write(",".join(columns) + "\n")
+        for row in rows:
+            fh.write(
+                ",".join(
+                    "%.17g" % v if isinstance(v, float) else str(v) for v in row
+                )
+                + "\n"
+            )
 
 
 def numerator_coeffs_oracle(alpha):

@@ -7,12 +7,15 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from pinchflow.flow import TRACE_COLUMNS, FlowConfig, run
 from pinchflow.reports import (
     canonical_json,
     render_report,
     strip_timestamp,
     write_trace_csv,
 )
+
+import oracles
 
 
 def test_canonical_sorting_and_compactness():
@@ -70,3 +73,24 @@ def test_trace_csv(tmp_path):
     lines = path.read_text().splitlines()
     assert lines[0] == "step,t"
     assert float(lines[2].split(",")[1]) == 1 / 3
+
+
+
+def test_trace_csv_matches_per_value_writer(tmp_path):
+    # an every-step flow trace, then rows whose floats print as nan, inf,
+    # -inf and -0: the one-format writer gives the per-value writer's text
+    trace = run(FlowConfig("sum_power", 2.0, a=2.0, b=1.0, n_nodes=33, record_every=1))
+    assert len(trace.records) == trace.steps + 1 > 100
+    last = trace.records[-1]
+    odd = [
+        last._replace(t=math.nan, dt=math.inf, center_z=-0.0),
+        last._replace(step=-1, pinch_sup=-math.inf, max_ratio=-0.0),
+    ]
+    for rows in (trace.records, odd, []):
+        fast, slow = tmp_path / "fast.csv", tmp_path / "slow.csv"
+        write_trace_csv(fast, TRACE_COLUMNS, rows)
+        oracles.write_trace_csv_per_value(slow, TRACE_COLUMNS, rows)
+        assert fast.read_text() == slow.read_text()
+        if rows is odd:
+            fields = fast.read_text().replace("\n", ",").split(",")
+            assert {"nan", "inf", "-inf", "-0", "-1"} <= set(fields)
