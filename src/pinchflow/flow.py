@@ -12,9 +12,12 @@ Time stepping is the damped second-order Runge-Kutta-Chebyshev method
 (Sommeijer, Shampine & Verwer, J. Comput. Appl. Math. 88, 1998): explicit
 stages only, with a stability interval that grows as the square of the
 stage count, so the step follows accuracy rather than the parabolic limit.
+A step of two stages, which coarse grids take, is Ralston's method (Math.
+Comp. 16, 1962), with the same stability polynomial and about half the
+error of the recurrence's two-stage step (`_rkc_coefficients`).
 Three kernels make up the stepper.  `_rate_and_cap` gives the rate
 -k^(-alpha) and the cap max(df1 + df2) at the start of a step;
-`_step_dt` turns them into the step, a fixed fraction `_EPS` (0.004) of
+`_step_dt` turns them into the step, a fixed fraction `_EPS` (0.005) of
 the remaining shrinking-sphere lifetime but never less than the explicit
 parabolic step `_FLOOR` * dtheta^2 / cap; `_rkc` takes the step in as many
 stages as `_stage_count` asks for, or rejects it (the caller halves dt).
@@ -83,10 +86,13 @@ _RECORD_BLOCK = 64
 # over the nodes, but never less than the explicit parabolic step
 # _FLOOR * dtheta^2 / max(df1 + df2), so a coarse grid takes no more steps
 # than the explicit scheme (`_step_dt`).  The stepping error at the stop
-# grows as _EPS^2, most where a step takes two stages: a round sphere at
-# N = 33 under sum_power, alpha 2, leaves its radius law by 7.7e-4 at 0.004
-# and by 1.2e-3 at 0.005, against the 1e-3 that the sphere checks allow.
-_EPS = 0.004
+# grows as _EPS^2.  At 0.005 the binding checks read, against their bounds:
+# a round sphere at N = 33 under sum_power, alpha 2 (two-stage steps), 6.2e-4
+# of its radius law against 1e-3; criterion 6's sphere (many stages) 6.4e-4
+# against 1e-3; the explicit reference 5.5e-6 against 1e-5.  0.006 puts the
+# first two at 8.9e-4 and 9.1e-4.  Before two stages took Ralston's method,
+# the sphere at N = 33 read 7.7e-4 at 0.004 and 1.2e-3 at 0.005.
+_EPS = 0.005
 _FLOOR = 0.25
 
 # Damping of the RKC stability polynomial: inside the stability interval
@@ -298,7 +304,15 @@ def _stage_count(dt, cap, d):
 def _rkc_coefficients(n_stages):
     """mu~_1 and one (mu_j, nu_j, mu~_j, gamma~_j) per stage j = 2..n of the
     damped second-order RKC method, from the Chebyshev recurrences for T_j,
-    T_j' and T_j'' at w0 = 1 + damping / n^2, with b_0 = b_1 = b_2."""
+    T_j' and T_j'' at w0 = 1 + damping / n^2, with b_0 = b_1 = b_2.
+
+    Two stages take Ralston's method instead (Math. Comp. 16, 1962): the
+    inner stage at c = 2/3, weights 1/4 and 3/4.  Every explicit two-stage
+    second-order method has the stability polynomial 1 + z + z^2/2, so the
+    step keeps its stability interval [-2, 0]; the recurrence would put the
+    inner stage at c = 0.24, where the local error is about twice as large."""
+    if n_stages == 2:
+        return 2.0 / 3.0, ((1.0, 0.0, 0.75, 0.25 - 2.0 / 3.0),)
     w0 = 1.0 + _DAMPING / (n_stages * n_stages)
     t, t1, t2 = [1.0, w0], [0.0, 1.0], [0.0, 0.0]
     for j in range(2, n_stages + 1):
@@ -521,6 +535,8 @@ class FlowTrace:
     steps: int
     stages: int  # RKC stage counts (rate evaluations) of every attempted step
     rejected: int  # attempts rejected: a dt halving, or a kept full last step
+    dt_min: float  # smallest and largest dt over the steps taken (the trace's
+    dt_max: float  # dt column without step 0), None when no step was taken
     t_final: float
     profile: SupportProfile
     initial_min_support: float
@@ -618,7 +634,8 @@ def run(config: FlowConfig, profile=None) -> FlowTrace:
     pending = []  # (n, t, dt, s, r1, r2, diff) of records not yet built
     t = 0.0
     n = stages = rejected = 0
-    dt = 0.0
+    dt = dt_max = 0.0
+    dt_min = math.inf
     s = profile.s
     s0_min = m = float(s.min())
     target = config.stop_fraction * s0_min
@@ -665,6 +682,7 @@ def run(config: FlowConfig, profile=None) -> FlowTrace:
             s, r1, r2, diff = out
             m = m_new
             t += dt
+            dt_min, dt_max = min(dt_min, dt), max(dt_max, dt)
             n += 1
             if n == ts.size:
                 ts, a0s = _doubled(ts), _doubled(a0s)
@@ -686,6 +704,8 @@ def run(config: FlowConfig, profile=None) -> FlowTrace:
         steps=n,
         stages=stages,
         rejected=rejected,
+        dt_min=float(dt_min) if n else None,
+        dt_max=float(dt_max) if n else None,
         t_final=t,
         profile=final,
         initial_min_support=s0_min,

@@ -158,6 +158,15 @@ def padded_radii(s, d, cot):
     return r1, r2, diff
 
 
+# (mu~_1, ((mu, nu, mu~, gamma~),)) that the damped RKC recurrence gives for
+# two stages, in `flow._rkc_coefficients`'s form, as it stood before two
+# stages took Ralston's method: the inner stage at c = 0.2407, and nu = -1
+RKC_TWO_STAGE = (
+    0.24074074074074073,
+    ((2.076923076923077, -1.0, 2.076923076923077, -1.576923076923077),),
+)
+
+
 def reference_flow(profile, speed, t_end, safety=0.25):
     """Explicit midpoint steps at the CFL step, clipped to land on t_end:
     the slow reference for the flow's stepper.  It shares the package's

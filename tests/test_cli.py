@@ -196,13 +196,13 @@ REPORT_SHA256 = [
     pytest.param(
         FLOW_ARGV,
         "summary.json",
-        "cd69ee3bbc6d898b167cabb62c47ca556ba466445415532ef83a2266fc66c0f9",
+        "2f9ca88f19dacd7443eba035e4324984d6b17004d73d8ac22207abdaf0ba4287",
         id="flow-mean-summary",
     ),
     pytest.param(
         FLOW_ARGV,
         "trace.csv",
-        "58b5c8a68985b27d18b87b89795ec3812ec205e8426bad25fe008617ac526cdf",
+        "2cff850e271dd3ca3737bdcfe208f0a4df082670a970cdc1cf68f39ea40c1911",
         id="flow-mean-trace",
     ),
     pytest.param(  # find_threshold's default tolerance is 0.05
@@ -399,6 +399,7 @@ def test_flow_sphere_summary(tmp_path, capsys):
     assert doc["t_extinct"] == pytest.approx(1.0 / 3.0, abs=1e-3)
     assert doc["sphere_t_exact"] == pytest.approx(1.0 / 3.0)
     assert doc["rejected"] == 0 and doc["stages"] >= 2 * doc["steps"]
+    assert 0 < doc["dt_min"] < doc["dt_max"]
     assert all(doc["monotonicity"]["monotone"].values())
     lines = (tmp_path / "trace.csv").read_text().splitlines()
     assert lines[0].startswith("step,t,dt,min_support")

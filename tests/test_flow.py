@@ -234,15 +234,15 @@ def test_step_rejects_bad_dt(monkeypatch):
 
 
 def test_adaptive_dt_frozen():
-    # unit sphere, gauss, alpha=2: the lifetime 1/3, so the step is 0.004 of it
+    # unit sphere, gauss, alpha=2: the lifetime 1/3, so the step is 0.005 of it
     speed = SpeedFunction("gauss_power", 2.0)
     dt = adaptive_dt(sphere_support(1.0, n_nodes=201), speed)
-    assert dt == pytest.approx(0.004 / 3.0, rel=1e-12)
-    # at N = 33 and alpha = 1 the explicit parabolic step (fdot1 + fdot2 = 1),
-    # 2.4e-3, is larger than 0.004 of the lifetime 1/2 and is taken instead
-    speed = SpeedFunction("gauss_power", 1.0)
+    assert dt == pytest.approx(0.005 / 3.0, rel=1e-12)
+    # at N = 33 and alpha = 0.5 the explicit parabolic step (fdot1 + fdot2 =
+    # 0.5), 4.8e-3, is larger than 0.005 of the lifetime 2/3 and is taken
+    speed = SpeedFunction("gauss_power", 0.5)
     dt = adaptive_dt(sphere_support(1.0, n_nodes=33), speed)
-    assert dt == pytest.approx(oracles.cfl_dt(math.pi / 32, 0.25, 1.0), rel=1e-12)
+    assert dt == pytest.approx(oracles.cfl_dt(math.pi / 32, 0.25, 0.5), rel=1e-12)
 
 
 def test_adaptive_dt_scaling():
@@ -270,6 +270,42 @@ def test_rkc_matches_explicit_reference(family, alpha):
     assert np.max(np.abs(p.s - s_ref)) / np.max(s_ref) <= 1e-5
 
 
+def stability(n_stages, z):
+    """R(z) of `_rkc_coefficients(n_stages)`: one step of y' = lambda y from
+    y = 1 through `_rkc`'s stage update, z = lambda dt (an array or a
+    Polynomial)."""
+    mu_t1, stages = flowmod._rkc_coefficients(n_stages)
+    y_prev, y = 1.0, 1.0 + mu_t1 * z
+    for mu, nu, mu_t, gamma_t in stages:
+        y_prev, y = y, (
+            (1.0 - mu - nu) + mu * y + nu * y_prev + gamma_t * z + mu_t * z * y
+        )
+    return y
+
+
+def test_rkc_stability_polynomial_is_second_order():
+    z = np.polynomial.Polynomial([0.0, 1.0])
+    # two stages: exactly 1 + z + z^2/2, as for every explicit two-stage
+    # second-order method
+    assert np.allclose(stability(2, z).coef, [1.0, 1.0, 0.5], rtol=0, atol=1e-15)
+    for n in range(3, 11):
+        coef = stability(n, z).coef
+        assert len(coef) == n + 1
+        assert np.allclose(coef[:3], [1.0, 1.0, 0.5], rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("n", [*range(2, 41), 64, 200, flowmod._MAX_STAGES])
+def test_rkc_stable_wherever_stage_count_picks_it(n):
+    # `_stage_count` picks n for dt * rho below (n^2 - 1) / 1.54; with d = 2
+    # and cap 1, rho = (4 / d^2 + 1) cap = 2
+    x_hi = (n * n - 1) / 1.54
+    assert flowmod._stage_count(x_hi * (1 - 1e-9) / 2.0, 1.0, 2.0) == n
+    assert flowmod._stage_count(x_hi * (1 + 1e-9) / 2.0, 1.0, 2.0) == n + 1
+    r = stability(n, np.linspace(-x_hi, 0.0, 40 * n + 1))
+    assert np.max(np.abs(r[:-1])) <= 1.0
+    assert r[-1] == pytest.approx(1.0, rel=1e-11)  # R(0), up to rounding
+
+
 @pytest.mark.parametrize("family", ["gauss_power", "mean_power", "norm_power", "sum_power"])
 @pytest.mark.parametrize("alpha", [1.0, 1.5, 2.0])
 def test_step_and_run_agree_bit_for_bit(family, alpha):
@@ -287,14 +323,14 @@ def test_step_and_run_agree_bit_for_bit(family, alpha):
 
 
 # (steps, float.hex(t_extinct), float.hex(profile.s.sum())) of a short flow
-# per family, frozen from the RKC stepper with the mirror-exact stencil, the
-# secant-landed stop and the a0 fit: any change to the rounding of the hot
-# loop moves one of them
+# per family, frozen from the RKC stepper (Ralston's method at two stages)
+# with the mirror-exact stencil, the secant-landed stop and the a0 fit: any
+# change to the rounding of the hot loop moves one of them
 HOT_LOOP_PINS = {
-    "gauss_power": (1426, "0x1.738860b74ef2fp-1", "0x1.aa833a6de6420p+2"),
-    "mean_power": (1419, "0x1.e5ba68ca7506dp-3", "0x1.ad0370dfa2852p+2"),
-    "norm_power": (1400, "0x1.72f9e3608f64ap-2", "0x1.b435d340c9670p+2"),
-    "sum_power": (1412, "0x1.47b48846a6d75p-2", "0x1.af994dde9bc4fp+2"),
+    "gauss_power": (1141, "0x1.7388654f991ddp-1", "0x1.aa833ab8fea80p+2"),
+    "mean_power": (1135, "0x1.e5ba72dff984cp-3", "0x1.ad037d5fa7327p+2"),
+    "norm_power": (1120, "0x1.72f9f4d75a844p-2", "0x1.b435d6cde11fcp+2"),
+    "sum_power": (1129, "0x1.47b48a7ac9b3fp-2", "0x1.af994907ad6d3p+2"),
 }
 
 
@@ -315,10 +351,10 @@ def test_run_hot_loop_bytes_pinned(family):
 # one line of float.hex fields per record, frozen with HOT_LOOP_PINS: a
 # rounding change that `diagnostics` shares moves them
 RECORD_PINS = {
-    "gauss_power": "add3d0fed7ca1ef69aca651af06e95db7eac07ddd89d7fafff5595d9ad3307d1",
-    "mean_power": "132af3589f63c97b0e9b61f170a117d6944a6e28d747dc26f6efb68c9092e85e",
-    "norm_power": "5c92231abddc6bd342c5d4352e6c09456e8878c75cd384a855dd79b5d119072d",
-    "sum_power": "569928421cf7d9cba55ed574cd0c382ced2f5b48eceb68c347bae5070d62d6d0",
+    "gauss_power": "3728577fc27f8e75846670187a477ce6a02c21c76cda694bc2936012b50edf0a",
+    "mean_power": "a89cd4d1024bf01e5f85abf9387dc76dee2fc145638f5ae87eebc0f9a9bf6dca",
+    "norm_power": "84c8a33594297db33e6a5035f7b89523f14170fb170c9d4f9835af310b719c5c",
+    "sum_power": "2796f7e9e2d085ee49ad60be406c0e48652b84355072d845e1d2db530994ce69",
 }
 
 
@@ -459,6 +495,7 @@ def test_run_convexity_loss_partial_trace():
     trace = exc.value.trace
     assert trace is not None and trace.status == "convexity_loss"
     assert trace.records == []
+    assert trace.dt_min is None and trace.dt_max is None
     assert trace.initial_min_support == bumpy_profile().s.min()
     mono = trace.summary_dict()["monotonicity"]
     columns = ("pinch_sup", "max_radius", "max_ratio")
@@ -538,6 +575,21 @@ def test_run_times_strictly_increase():
     assert all(np.isfinite(rec.pinch_sup) for rec in trace.records)
 
 
+def test_run_dt_range_is_the_trace_dt_column():
+    # over the steps taken: the dt column without step 0's dt = 0, landed
+    # last step included, whatever `record_every` keeps
+    cfg = FlowConfig("gauss_power", 1.0, a=2.0, b=1.0, n_nodes=33, record_every=1)
+    trace = run(cfg)
+    dts = [rec.dt for rec in trace.records[1:]]
+    assert (trace.dt_min, trace.dt_max) == (min(dts), max(dts))
+    assert type(trace.dt_min) is float and type(trace.dt_max) is float
+    assert 0 < trace.dt_min == trace.records[-1].dt < trace.dt_max
+    sparse = run(dataclasses.replace(cfg, record_every=100))
+    assert (sparse.dt_min, sparse.dt_max) == (trace.dt_min, trace.dt_max)
+    summary = trace.summary_dict()
+    assert (summary["dt_min"], summary["dt_max"]) == (min(dts), max(dts))
+
+
 # --- extinction and rescaling ----------------------------------------------
 
 
@@ -585,6 +637,23 @@ def test_run_round_sphere_every_family(family, alpha):
     assert trace.summary_dict()["sphere_t_exact"] == pytest.approx(t_exact, rel=1e-14)
     assert trace.t_extinct == pytest.approx(t_exact, rel=1e-3)
     assert trace.deviation <= 1e-5
+
+
+@pytest.mark.parametrize("family, alpha", SPHERE_CASES)
+def test_ralston_two_stage_step_beats_the_recurrence(monkeypatch, family, alpha):
+    # one N = 33 sphere step, which takes two stages: Ralston's inner stage
+    # at c = 2/3 errs at most 0.6 times as much as the recurrence's at 0.24
+    speed = SpeedFunction(family, alpha)
+    p = sphere_support(1.0, n_nodes=33)
+    dt = adaptive_dt(p, speed)
+    r1, r2, _ = flowmod._radii(p.s, p.dtheta, flowmod._cot_table(p.theta))
+    _, cap = flowmod._rate_and_cap(family, alpha, r1, r2)
+    assert flowmod._stage_count(dt, cap, p.dtheta) == 2
+    exact = oracles.sphere_radius_oracle(1.0, alpha, dt, family)
+    ralston = np.max(np.abs(step(p, speed, dt).s - exact))
+    monkeypatch.setattr(flowmod, "_rkc_coefficients", lambda n: oracles.RKC_TWO_STAGE)
+    recurrence = np.max(np.abs(step(p, speed, dt).s - exact))
+    assert ralston <= 0.6 * recurrence
 
 
 def test_extinction_estimate_low_confidence_flag():
