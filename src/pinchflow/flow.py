@@ -90,8 +90,7 @@ _RECORD_BLOCK = 64
 # a round sphere at N = 33 under sum_power, alpha 2 (two-stage steps), 6.2e-4
 # of its radius law against 1e-3; criterion 6's sphere (many stages) 6.4e-4
 # against 1e-3; the explicit reference 5.5e-6 against 1e-5.  0.006 puts the
-# first two at 8.9e-4 and 9.1e-4.  Before two stages took Ralston's method,
-# the sphere at N = 33 read 7.7e-4 at 0.004 and 1.2e-3 at 0.005.
+# first two at 8.9e-4 and 9.1e-4.
 _EPS = 0.005
 _FLOOR = 0.25
 

@@ -75,7 +75,6 @@ def test_trace_csv(tmp_path):
     assert float(lines[2].split(",")[1]) == 1 / 3
 
 
-
 def test_trace_csv_matches_per_value_writer(tmp_path):
     # an every-step flow trace, then rows whose floats print as nan, inf,
     # -inf and -0: the one-format writer gives the per-value writer's text
