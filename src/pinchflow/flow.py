@@ -1,7 +1,9 @@
 """Axisymmetric support-function flow for convex surfaces of revolution.
 
 State is the support function s(theta) on a uniform grid over [0, pi].  The
-principal radii split into a meridian radius s'' + s and a rotational radius
+grid and its fixed tables depend on the node count alone, so `_grid` builds
+them once per count and the kernels take the grid whole.  The principal
+radii split into a meridian radius s'' + s and a rotational radius
 cot(theta) s' + s; both collapse to s'' + s at the axis, which the even
 ghost-node reflection supplies without one-sided stencils.  That stencil
 lives in one function, `_radii`; `run` calls it once at the start and once
@@ -30,12 +32,11 @@ wrap the same kernels for one SupportProfile, so iterating
 while no step is rejected, up to `run`'s last step: that one is shortened
 by a secant step in dt so that min s lands on the stop target, and no
 reported value depends on `_EPS` through where the run stops.  On these
-short arrays a step costs numpy's
-per-call dispatch more than arithmetic, so every whole-array min or max on
-the stepper path is one argmin or argmax and an index (`_min`, `_max`:
-argmin and argmax stop at the first NaN, so a NaN propagates as through
-`np.minimum.reduce`), and `_radii` pads s with one gather through an index
-cached per node count (`_pad_index`).
+short arrays a step costs numpy's per-call dispatch more than arithmetic,
+so every whole-array min or max on the stepper path is one argmin or argmax
+and an index (`_min`, `_max`: argmin and argmax stop at the first NaN, so a
+NaN propagates as through `np.minimum.reduce`), and `_radii` pads s with
+one gather through the grid's pad index.
 
 `_diagnose` is the one diagnostics kernel.  It takes the `_radii` arrays of
 one profile (1-d) or of a block of profiles (2-d, one per row) and reduces
@@ -48,9 +49,9 @@ is a `FlowRecord` NamedTuple whose fields are the trace CSV's columns, so a
 record is its own CSV row from the kernel to the file.
 
 The extinction time T comes from (t, a0) at every step, not from the
-records: a0 is the l = 0 Legendre amplitude of s (`_a0_weights`), the
-radius of a sphere wherever it sits on the axis, and it carries the l = 2
-mode of a rounding body only at second order.  `extinction_estimate` fits
+records: a0 is the l = 0 Legendre amplitude of s (the grid's a0 weights),
+the radius of a sphere wherever it sits on the axis, and it carries the
+l = 2 mode of a rounding body only at second order.  `extinction_estimate` fits
 a0^(alpha+1), linear in t on a shrinking sphere, over the last tenth of
 the steps, so T and the rescaled deviation do not depend on `record_every`.
 
@@ -127,48 +128,70 @@ def _positive(x):
     return x > 0 and math.isfinite(x)
 
 
-def _make_grid(n_nodes):
-    if n_nodes < 33 or n_nodes % 2 == 0:
+class _Grid(NamedTuple):
+    """The [0, pi] grid of one node count and its fixed tables, read-only."""
+
+    theta: np.ndarray
+    d: float  # theta[1] - theta[0]
+    cot: np.ndarray  # odd about the equator; the pole entries are never used
+    cos: np.ndarray
+    sin: np.ndarray
+    w: np.ndarray  # trapezoid widths
+    a0: np.ndarray  # a0 = sum(a0 * s) is the l = 0 Legendre amplitude of s
+    pad: np.ndarray  # gather index of s padded by its even pole reflections
+
+
+@functools.lru_cache(maxsize=None)
+def _grid(n):
+    """The grid of n nodes, built once per n; raises ResolutionError unless
+    n is odd (equator on-grid) and at least 33.  The cotangent is built on
+    the upper half and mirrored.  The a0 weights are the trapezoid weights
+    times sin theta over their sum: a0 is the radius of a sphere about any
+    centre on the axis (the l = 1 mode, a translation, integrates out)."""
+    if n < 33 or n % 2 == 0:
         raise ResolutionError(
-            f"need an odd node count >= 33 (equator on-grid), got {n_nodes}"
+            f"need an odd node count >= 33 (equator on-grid), got {n}"
         )
-    return np.linspace(0.0, math.pi, n_nodes)
-
-
-def _cot_table(theta):
-    """cot(theta) with exact odd mirror symmetry about the equator; the pole
-    entries are never used (the radii formulas switch branch there)."""
-    n = theta.size
+    theta = np.linspace(0.0, math.pi, n)
     h = n // 2
-    c = np.zeros(n)
-    c[1:h] = np.cos(theta[1:h]) / np.sin(theta[1:h])
-    c[h + 1 : n - 1] = -c[1:h][::-1]
-    return c
+    cot = np.zeros(n)
+    cot[1:h] = np.cos(theta[1:h]) / np.sin(theta[1:h])
+    cot[h + 1 : n - 1] = -cot[1:h][::-1]
+    cos, sin, w = np.cos(theta), np.sin(theta), np.diff(theta)
+    trap = np.concatenate(([0.0], w)) + np.concatenate((w, [0.0]))
+    weights = trap * sin
+    a0 = weights / np.add.reduce(weights)
+    pad = np.concatenate(([1], np.arange(n), [n - 2]))
+    for table in (theta, cot, cos, sin, w, a0, pad):
+        table.flags.writeable = False
+    return _Grid(theta, theta[1] - theta[0], cot, cos, sin, w, a0, pad)
 
 
 @dataclass
 class SupportProfile:
-    theta: np.ndarray
     s: np.ndarray
     time: float = 0.0
 
     def __post_init__(self):
-        self.theta = np.asarray(self.theta, dtype=float)
         self.s = np.asarray(self.s, dtype=float)
-        if self.theta.shape != self.s.shape or self.theta.ndim != 1:
-            raise DomainError("theta and s must be 1-d arrays of equal length")
-        if not np.array_equal(self.theta, _make_grid(self.theta.size)):
-            raise DomainError("theta must be the uniform [0, pi] grid")
-        if not np.all(self.s > 0):
-            raise DomainError("support function must be positive")
+        if self.s.ndim != 1:
+            raise DomainError("support function must be a 1-d array")
+        _grid(self.s.size)  # validates the node count
+        # NaN fails both comparisons
+        if not np.all((self.s > 0) & (self.s < math.inf)):
+            raise DomainError("support function must be finite and positive")
 
     @property
-    def n_nodes(self):
-        return self.theta.size
+    def theta(self):
+        return _grid(self.s.size).theta
 
     @property
     def dtheta(self):
-        return self.theta[1] - self.theta[0]
+        return _grid(self.s.size).d
+
+    @property
+    def n_nodes(self):
+        return self.s.size
 
 
 @dataclass(frozen=True)
@@ -180,8 +203,8 @@ class RadiiField:
 def sphere_support(radius, n_nodes=201):
     if not _positive(radius):
         raise DomainError(f"radius must be finite and positive, got {radius}")
-    theta = _make_grid(n_nodes)
-    return SupportProfile(theta, np.full(n_nodes, float(radius)))
+    _grid(n_nodes)  # validates the node count
+    return SupportProfile(np.full(n_nodes, float(radius)))
 
 
 def ellipsoid_support(a, b, n_nodes=201):
@@ -190,12 +213,12 @@ def ellipsoid_support(a, b, n_nodes=201):
     half and mirrored so the profile is exactly equator-symmetric."""
     if not (_positive(a) and _positive(b)):
         raise DomainError(f"semi-axes must be finite and positive, got ({a}, {b})")
-    theta = _make_grid(n_nodes)
+    theta = _grid(n_nodes).theta
     h = n_nodes // 2
     cos2 = np.cos(theta[: h + 1]) ** 2
     s_half = np.sqrt(b * b + (a * a - b * b) * cos2)
     s = np.concatenate([s_half, s_half[:-1][::-1]])
-    return SupportProfile(theta, s)
+    return SupportProfile(s)
 
 
 def _min(x):
@@ -209,27 +232,18 @@ def _max(x):
     return x[x.argmax()]
 
 
-@functools.lru_cache(maxsize=None)
-def _pad_index(n):
-    """Gather index of s padded by its even reflection across each pole:
-    s[1], s[0], ..., s[n - 1], s[n - 2]."""
-    index = np.concatenate(([1], np.arange(n), [n - 2]))
-    index.flags.writeable = False
-    return index
-
-
-def _radii(s, d, cot):
+def _radii(s, g):
     """The finite-difference stencil: even reflection of s across each pole,
     then central differences.  Returns the meridian radius s'' + s, the
     rotational radius cot s' + s (both s'' + s at the poles) and the
     undivided central difference s[i+1] - s[i-1] = 2 d s'."""
-    sp = s[_pad_index(s.size)]
+    sp = s[g.pad]
     up, down = sp[2:], sp[:-2]
     diff = up - down
     # the neighbours' sum first: it commutes bit for bit, so the stencil is
     # the same at mirrored nodes; s + s is 2.0 * s exactly
-    r1 = ((up + down) - (s + s)) / (d * d) + s
-    r2 = cot * diff / (2.0 * d) + s
+    r1 = ((up + down) - (s + s)) / (g.d * g.d) + s
+    r2 = g.cot * diff / (2.0 * g.d) + s
     r2[0] = r1[0]
     r2[-1] = r1[-1]
     return r1, r2, diff
@@ -239,14 +253,14 @@ def _convex(r1, r2):
     return _min(r1) > 0 and _min(r2) > 0
 
 
-def _convex_radii(theta, s, d, cot):
+def _convex_radii(s, g):
     """`_radii`, raising ConvexityLossError that names the node of the smallest
     radius when either radius is nonpositive (the flow is undefined there)."""
-    r1, r2, diff = _radii(s, d, cot)
+    r1, r2, diff = _radii(s, g)
     if not _convex(r1, r2):
         node = int(np.argmin(np.minimum(r1, r2)))
         raise ConvexityLossError(
-            f"convexity lost at node {node} (theta={theta[node]:.6f}): "
+            f"convexity lost at node {node} (theta={g.theta[node]:.6f}): "
             f"r1={r1[node]:.6e}, r2={r2[node]:.6e}",
             node=node,
             r1=float(r1[node]),
@@ -330,7 +344,7 @@ def _rkc_coefficients(n_stages):
     return b[1] * w1, tuple(stages)
 
 
-def _rkc(family, alpha, s, rate0, dt, n_stages, d, cot):
+def _rkc(family, alpha, s, rate0, dt, n_stages, g):
     """One RKC step of dt in n_stages stages from s, whose rate is rate0.
     Returns the new (s, r1, r2, diff) as `_radii` gives them, or None when
     a stage loses convexity or the result loses convexity or positivity
@@ -341,7 +355,7 @@ def _rkc(family, alpha, s, rate0, dt, n_stages, d, cot):
     mu_t1, stages = _rkc_coefficients(n_stages)
     y_prev, y = s, s + (mu_t1 * dt) * rate0
     for mu, nu, mu_t, gamma_t in stages:
-        r1, r2, _ = _radii(y, d, cot)
+        r1, r2, _ = _radii(y, g)
         if not _convex(r1, r2):
             return None
         k = _k_derivs(family, alpha, r1, r2, order=0)
@@ -353,7 +367,7 @@ def _rkc(family, alpha, s, rate0, dt, n_stages, d, cot):
             + (gamma_t * dt) * rate0
             - (mu_t * dt) * k ** (-alpha)
         )
-    r1, r2, diff = _radii(y, d, cot)
+    r1, r2, diff = _radii(y, g)
     if not _convex(r1, r2) or _min(y) <= 0:
         return None
     return y, r1, r2, diff
@@ -362,8 +376,7 @@ def _rkc(family, alpha, s, rate0, dt, n_stages, d, cot):
 def radii_from_support(profile) -> RadiiField:
     """Principal radii on the grid; raises ConvexityLossError when either
     radius is nonpositive anywhere."""
-    th = profile.theta
-    r1, r2, _ = _convex_radii(th, profile.s, profile.dtheta, _cot_table(th))
+    r1, r2, _ = _convex_radii(profile.s, _grid(profile.n_nodes))
     return RadiiField(r1=r1, r2=r2)
 
 
@@ -375,22 +388,22 @@ def step(profile, speed, dt) -> SupportProfile:
     if not (math.isfinite(dt) and dt >= 0):
         raise StepRejectedError(f"bad time step {dt}")
     if dt == 0.0:
-        return SupportProfile(profile.theta, profile.s.copy(), profile.time)
+        return SupportProfile(profile.s.copy(), profile.time)
     t_new = profile.time + dt
     family, alpha = speed.family, float(speed.alpha)
-    d, cot = profile.dtheta, _cot_table(profile.theta)
-    r1, r2, _ = _radii(profile.s, d, cot)
+    g = _grid(profile.n_nodes)
+    r1, r2, _ = _radii(profile.s, g)
     out = None
     if _convex(r1, r2):
         with np.errstate(**_QUIET):
             rate0, cap = _rate_and_cap(family, alpha, r1, r2)
-            n_stages = _stage_count(dt, cap, d)
-            out = _rkc(family, alpha, profile.s, rate0, dt, n_stages, d, cot)
+            n_stages = _stage_count(dt, cap, g.d)
+            out = _rkc(family, alpha, profile.s, rate0, dt, n_stages, g)
     if out is None:
         raise StepRejectedError(
             f"step to t={t_new} rejected: convexity or positivity lost"
         )
-    return SupportProfile(profile.theta, out[0], t_new)
+    return SupportProfile(out[0], t_new)
 
 
 def adaptive_dt(profile, speed):
@@ -403,24 +416,7 @@ def adaptive_dt(profile, speed):
     return _step_dt(profile.s, rate0, cap, profile.dtheta, alpha)
 
 
-def _grid_tables(theta):
-    """cos, sin and the trapezoid widths of the grid: the fixed inputs of
-    `_diagnose`, computed once per run."""
-    return np.cos(theta), np.sin(theta), np.diff(theta)
-
-
-def _a0_weights(tables):
-    """Trapezoid weights times sin theta, scaled to sum to 1: the l = 0
-    Legendre amplitude of s is a0 = sum(weights * s), the radius of a
-    sphere about any centre on the axis (the l = 1 mode, a translation,
-    integrates out)."""
-    _, sin, w = tables
-    trap = np.concatenate(([0.0], w)) + np.concatenate((w, [0.0]))
-    weights = trap * sin
-    return weights / np.add.reduce(weights)
-
-
-def _diagnose(tables, d, s, r1, r2, diff, speed):
+def _diagnose(g, s, r1, r2, diff, speed):
     """The diagnostics kernel, from `_radii` arrays of convex profiles: 1-d
     arrays for one profile, or 2-d arrays with one profile per row.  Every
     reduction runs along axis=-1, so a row gives the bits of the same
@@ -430,9 +426,9 @@ def _diagnose(tables, d, s, r1, r2, diff, speed):
     no expression may change its order of operations (s * cos * sin stays
     a product of three).  Returns each field as `.tolist()` gives it: a
     float for one profile, a list for a block."""
-    cos, sin, w = tables
+    cos, sin, w = g.cos, g.sin, g.w
     alpha = float(speed.alpha)
-    s_th = diff / (2.0 * d)
+    s_th = diff / (2.0 * g.d)
     y = s * cos * sin
     q = 1.5 * np.add.reduce(w * (y[..., 1:] + y[..., :-1]) / 2.0, axis=-1)
     qc = q[..., None]
@@ -466,9 +462,9 @@ def diagnostics(profile, speed):
     (documented estimators, heuristic near strong anisotropy), and
     min |speed|; raises ConvexityLossError where `radii_from_support`
     does.  `run`'s records come from the same kernel, `_diagnose`."""
-    th, d = profile.theta, profile.dtheta
-    r1, r2, diff = _convex_radii(th, profile.s, d, _cot_table(th))
-    out = _diagnose(_grid_tables(th), d, profile.s, r1, r2, diff, speed)
+    g = _grid(profile.n_nodes)
+    r1, r2, diff = _convex_radii(profile.s, g)
+    out = _diagnose(g, profile.s, r1, r2, diff, speed)
     out["roundness"] = out["circumradius"] / out["inradius"]
     return {"alpha": float(speed.alpha), **out}
 
@@ -507,7 +503,7 @@ class FlowConfig:
 
     def __post_init__(self):
         SpeedFunction(self.family, self.alpha)  # validates family/alpha
-        _make_grid(self.n_nodes)  # validates the node count
+        _grid(self.n_nodes)  # validates the node count
         for name in ("a", "b"):
             value = getattr(self, name)
             if not _positive(value):
@@ -549,8 +545,8 @@ class FlowTrace:
     def summary_dict(self):
         """summary.json: every field but records, profile and samples, three
         columns' pinching drifts and monotone flags (None and False with no
-        records), and the exact sphere extinction time when the start is
-        round."""
+        records), and the exact sphere extinction time when the step-0
+        record, the start of the flow, is round (min and max support equal)."""
         out = {
             f.name: getattr(self, f.name)
             for f in fields(self)
@@ -570,9 +566,10 @@ class FlowTrace:
             },
             "tolerance": MONOTONE_TOL,
         }
-        cfg = self.config
-        if cfg.a == cfg.b:
-            out["sphere_t_exact"] = sphere_extinction_time(cfg.a, cfg.speed())
+        start = self.records[0] if self.records else None
+        if start and start.min_support == start.max_support:
+            rho = start.min_support
+            out["sphere_t_exact"] = sphere_extinction_time(rho, self.config.speed())
         return out
 
 
@@ -581,14 +578,14 @@ def _doubled(x):
     return np.concatenate((x, np.empty_like(x)))
 
 
-def _flush(records, pending, tables, d, speed):
+def _flush(records, pending, g, speed):
     """Append the FlowRecords of the pending (n, t, dt, s, r1, r2, diff)
     entries, stacked into one block for one `_diagnose` call, and empty
     `pending`."""
     if not pending:
         return
     n, t, dt, *arrays = zip(*pending)
-    cols = _diagnose(tables, d, *map(np.stack, arrays), speed)
+    cols = _diagnose(g, *map(np.stack, arrays), speed)
     cols.update(step=n, t=t, dt=dt)
     records.extend(map(FlowRecord._make, zip(*(cols[c] for c in TRACE_COLUMNS))))
     pending.clear()
@@ -601,12 +598,13 @@ def run(config: FlowConfig, profile=None) -> FlowTrace:
     dt (and so recounting stages) on rejection.  The step that crosses the
     target is taken again, shortened by one secant step in dt so that the
     minimum support lands on the target; if the short step is rejected, the
-    full one stands.  The loop carries bare arrays, since a SupportProfile
-    per step would re-validate the grid; the arrays `_rkc` returns feed both
-    the next step and the records, which are rows of the trace CSV.  Every
-    step also keeps (t, a0), a0 the l = 0 amplitude of s (`_a0_weights`),
-    for the extinction fit, so the fit does not depend on `record_every`.
-    A given `profile` must have `config.n_nodes` nodes.
+    full one stands.  The loop carries bare arrays on the profile's grid,
+    since a SupportProfile per step would re-validate s; the arrays `_rkc`
+    returns feed both the next step and the records, which are rows of the
+    trace CSV.  Every step also keeps (t, a0), a0 the l = 0 amplitude of s
+    (the grid's a0 weights), for the extinction fit, so the fit does not
+    depend on `record_every`.  A given `profile` must have `config.n_nodes`
+    nodes.
 
     There is one exit.  A nonconvex initial profile, or a rejection that
     survives eight halvings, ends the loop with status "convexity_loss";
@@ -623,11 +621,7 @@ def run(config: FlowConfig, profile=None) -> FlowTrace:
         raise DomainError(
             f"profile has {profile.n_nodes} nodes, config.n_nodes is {config.n_nodes}"
         )
-    theta = profile.theta
-    cot = _cot_table(theta)
-    d = profile.dtheta
-    tables = _grid_tables(theta)
-    weights = _a0_weights(tables)
+    g = _grid(profile.n_nodes)
 
     records = []
     pending = []  # (n, t, dt, s, r1, r2, diff) of records not yet built
@@ -640,10 +634,10 @@ def run(config: FlowConfig, profile=None) -> FlowTrace:
     target = config.stop_fraction * s0_min
     # (t, a0) at the start and after each step, in arrays doubled when full
     ts, a0s = np.empty(_SAMPLES), np.empty(_SAMPLES)
-    ts[0], a0s[0] = t, np.add.reduce(weights * s)
+    ts[0], a0s[0] = t, np.add.reduce(g.a0 * s)
     status = error = None
     try:
-        r1, r2, diff = _convex_radii(theta, s, d, cot)
+        r1, r2, diff = _convex_radii(s, g)
     except ConvexityLossError as err:
         status, error = "convexity_loss", err
     else:
@@ -652,11 +646,11 @@ def run(config: FlowConfig, profile=None) -> FlowTrace:
     with np.errstate(**_QUIET):
         while status is None:
             rate0, cap = _rate_and_cap(fam, alpha, r1, r2)
-            dt = _step_dt(s, rate0, cap, d, alpha)
+            dt = _step_dt(s, rate0, cap, g.d, alpha)
             for _ in range(8):
-                n_stages = _stage_count(dt, cap, d)
+                n_stages = _stage_count(dt, cap, g.d)
                 stages += n_stages
-                out = _rkc(fam, alpha, s, rate0, dt, n_stages, d, cot)
+                out = _rkc(fam, alpha, s, rate0, dt, n_stages, g)
                 if out is not None:
                     break
                 rejected += 1
@@ -671,9 +665,9 @@ def run(config: FlowConfig, profile=None) -> FlowTrace:
             if m_new <= target:
                 status = "extinct_fraction"
                 short = dt * ((m - target) / (m - m_new))
-                n_stages = _stage_count(short, cap, d)
+                n_stages = _stage_count(short, cap, g.d)
                 stages += n_stages
-                landed = _rkc(fam, alpha, s, rate0, short, n_stages, d, cot)
+                landed = _rkc(fam, alpha, s, rate0, short, n_stages, g)
                 if landed is None:
                     rejected += 1
                 else:
@@ -686,16 +680,16 @@ def run(config: FlowConfig, profile=None) -> FlowTrace:
             if n == ts.size:
                 ts, a0s = _doubled(ts), _doubled(a0s)
             ts[n] = t
-            a0s[n] = np.add.reduce(weights * s)
+            a0s[n] = np.add.reduce(g.a0 * s)
             if status is None and n >= config.max_steps:
                 status = "max_steps"
             if status or n % config.record_every == 0:
                 pending.append((n, t, dt, s, r1, r2, diff))
                 if len(pending) >= _RECORD_BLOCK:
                     with np.errstate(**caller):
-                        _flush(records, pending, tables, d, speed)
-    _flush(records, pending, tables, d, speed)
-    final = SupportProfile(theta, s, t)
+                        _flush(records, pending, g, speed)
+    _flush(records, pending, g, speed)
+    final = SupportProfile(s, t)
     trace = FlowTrace(
         config=config,
         records=records,
@@ -803,7 +797,7 @@ def rescale_deviation(profile, t_extinct, t, speed, q=0.0):
         raise DomainError(f"t={t} is at or beyond extinction {t_extinct}")
     power, rate = _sphere_law(speed)
     rho = (rate * (t_extinct - t)) ** (1.0 / power)
-    recentered = profile.s - q * np.cos(profile.theta)
+    recentered = profile.s - q * _grid(profile.n_nodes).cos
     return float(np.max(np.abs(recentered / rho - 1.0)))
 
 

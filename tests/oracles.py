@@ -172,16 +172,16 @@ def reference_flow(profile, speed, t_end, safety=0.25):
     the slow reference for the flow's stepper.  It shares the package's
     stencil and cap, so only the time integration differs; the rates come
     from `speed_value`.  Returns (s, t)."""
-    from pinchflow.flow import _cot_table, _radii, _rate_and_cap
+    from pinchflow.flow import _grid, _radii, _rate_and_cap
 
     fam, alpha = speed.family, float(speed.alpha)
-    d, cot = profile.dtheta, _cot_table(profile.theta)
+    g = _grid(profile.n_nodes)
     s, t = profile.s, profile.time
     while t < t_end:
-        r1, r2, _ = _radii(s, d, cot)
+        r1, r2, _ = _radii(s, g)
         rate0, cap = _rate_and_cap(fam, alpha, r1, r2)
-        dt = min(cfl_dt(d, safety, cap), t_end - t)
-        rm1, rm2, _ = _radii(s + (0.5 * dt) * rate0, d, cot)
+        dt = min(cfl_dt(g.d, safety, cap), t_end - t)
+        rm1, rm2, _ = _radii(s + (0.5 * dt) * rate0, g)
         s = s + dt * speed_value(fam, alpha, rm1, rm2)
         t = t + dt
     return s, t

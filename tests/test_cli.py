@@ -3,6 +3,7 @@
 import hashlib
 import json
 import os
+import runpy
 import subprocess
 import sys
 import warnings
@@ -616,6 +617,19 @@ def test_sweep_deterministic_across_worker_counts(tmp_path):
         assert code == 0
         outs.append(strip_timestamp((out / "sweep.json").read_text()))
     assert outs[0] == outs[1]
+
+
+# --- byte identity script ----------------------------------------------------
+
+
+def test_byte_identity_commands_parse():
+    # a flag removed from the CLI must not silently break the byte check
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    script = runpy.run_path(os.path.join(root, "scripts", "byte_identity.py"))
+    parser = cli.build_parser()
+    for command in script["COMMANDS"]:
+        args = parser.parse_args([*command.split(), "--out", "x"])
+        assert args.out == "x", command
 
 
 # --- entry point -------------------------------------------------------------

@@ -28,7 +28,7 @@ from pinchflow import (
     step,
 )
 import pinchflow.flow as flowmod
-from pinchflow.flow import TRACE_COLUMNS, SupportProfile, _make_grid, pinching_drift
+from pinchflow.flow import TRACE_COLUMNS, SupportProfile, _grid, pinching_drift
 
 import oracles
 
@@ -39,9 +39,7 @@ def hex_row(values):
 
 def bumpy_profile(n=101, amp=0.4):
     """Positive but non-convex support profile (fails r1 > 0 at the poles)."""
-    theta = _make_grid(n)
-    s = 1.0 + amp * np.cos(4 * theta)
-    return SupportProfile(theta=theta, s=s, time=0.0)
+    return SupportProfile(1.0 + amp * np.cos(4 * _grid(n).theta))
 
 
 # --- grids and profiles ----------------------------------------------------
@@ -54,11 +52,32 @@ def test_grid_validation():
 
 
 def test_profile_validation():
-    theta = _make_grid(41)
-    with pytest.raises(ValueError):
-        SupportProfile(theta=theta, s=np.zeros(41), time=0.0)
-    with pytest.raises(ValueError):
-        SupportProfile(theta=theta[:-1], s=np.ones(40), time=0.0)
+    with pytest.raises(DomainError):
+        SupportProfile(np.zeros(41))
+    for bad in (40, 31):
+        with pytest.raises(ResolutionError):
+            SupportProfile(np.ones(bad))
+    with pytest.raises(DomainError):
+        SupportProfile(np.ones((2, 33)))
+
+
+@pytest.mark.parametrize("n", [33, 101, 201])
+def test_grid_cached_read_only_and_symmetric(n):
+    g = _grid(n)
+    assert g is _grid(n)
+    assert hex_row(g.theta) == hex_row(np.linspace(0.0, math.pi, n))
+    assert g.d == g.theta[1] - g.theta[0]
+    # cot is odd about the equator bit for bit; the equator entry is 0
+    h = n // 2
+    assert hex_row(g.cot[h + 1 : n - 1]) == hex_row(-g.cot[1:h][::-1])
+    assert g.cot[h] == 0.0
+    assert list(g.pad) == [1, *range(n), n - 2]
+    for name, table in g._asdict().items():
+        if name == "d":
+            continue
+        assert not table.flags.writeable, name
+        with pytest.raises(ValueError):
+            table[0] = 1
 
 
 def test_ellipsoid_support_frozen():
@@ -128,17 +147,16 @@ def test_radii_match_padded_stencil_bitwise():
     # 2.0 * s, on the built-in profiles and a rough positive one per size
     rng = np.random.default_rng(5)
     for n in (33, 101, 201):
-        theta = _make_grid(n)
-        d, cot = theta[1] - theta[0], flowmod._cot_table(theta)
+        g = _grid(n)
         for s in (
             ellipsoid_support(2.0, 1.0, n).s,
             sphere_support(0.7, n).s,
             rng.uniform(0.5, 2.0, n),
         ):
-            got = flowmod._radii(s, d, cot)
-            want = oracles.padded_radii(s, d, cot)
-            for g, w in zip(got, want):
-                assert hex_row(g) == hex_row(w)
+            got = flowmod._radii(s, g)
+            want = oracles.padded_radii(s, g.d, g.cot)
+            for x, y in zip(got, want):
+                assert hex_row(x) == hex_row(y)
 
 
 def _reduction_cases():
@@ -422,8 +440,7 @@ def test_run_sphere_matches_law():
 
 
 def test_run_translated_sphere_center():
-    theta = _make_grid(101)
-    prof = SupportProfile(theta=theta, s=1.0 + 0.3 * np.cos(theta), time=0.0)
+    prof = SupportProfile(1.0 + 0.3 * np.cos(_grid(101).theta))
     cfg = FlowConfig("gauss_power", 2.0, n_nodes=101, stop_fraction=0.1)
     trace = run(cfg, profile=prof)
     assert trace.t_extinct is not None
@@ -434,8 +451,7 @@ def test_run_translated_sphere_center():
 def test_run_translated_sphere_extinction(alpha):
     # a unit sphere 0.2 up the axis: a0 is its radius wherever its centre
     # sits, so T and the recentred deviation are those of the round sphere
-    theta = _make_grid(101)
-    prof = SupportProfile(theta=theta, s=1.0 + 0.2 * np.cos(theta), time=0.0)
+    prof = SupportProfile(1.0 + 0.2 * np.cos(_grid(101).theta))
     cfg = FlowConfig("gauss_power", alpha, n_nodes=101, stop_fraction=0.1)
     trace = run(cfg, profile=prof)
     assert trace.status == "extinct_fraction"
@@ -639,6 +655,16 @@ def test_run_round_sphere_every_family(family, alpha):
     assert trace.deviation <= 1e-5
 
 
+def test_sphere_t_exact_follows_the_given_profile():
+    # the config's semi-axes describe the default start, not a given profile
+    cfg = FlowConfig("gauss_power", 1.0, n_nodes=33, stop_fraction=0.2)
+    summary = run(cfg, sphere_support(0.5, 33)).summary_dict()
+    assert summary["sphere_t_exact"] == 0.125
+    assert summary["t_extinct"] == pytest.approx(0.125, rel=1e-5)
+    spheroid = run(cfg, ellipsoid_support(2.0, 1.0, 33))
+    assert "sphere_t_exact" not in spheroid.summary_dict()
+
+
 @pytest.mark.parametrize("family, alpha", SPHERE_CASES)
 def test_ralston_two_stage_step_beats_the_recurrence(monkeypatch, family, alpha):
     # one N = 33 sphere step, which takes two stages: Ralston's inner stage
@@ -646,7 +672,7 @@ def test_ralston_two_stage_step_beats_the_recurrence(monkeypatch, family, alpha)
     speed = SpeedFunction(family, alpha)
     p = sphere_support(1.0, n_nodes=33)
     dt = adaptive_dt(p, speed)
-    r1, r2, _ = flowmod._radii(p.s, p.dtheta, flowmod._cot_table(p.theta))
+    r1, r2, _ = flowmod._radii(p.s, _grid(33))
     _, cap = flowmod._rate_and_cap(family, alpha, r1, r2)
     assert flowmod._stage_count(dt, cap, p.dtheta) == 2
     exact = oracles.sphere_radius_oracle(1.0, alpha, dt, family)
@@ -679,9 +705,8 @@ def test_rescale_deviation_frozen():
 
 
 def test_rescale_deviation_recentering():
-    theta = _make_grid(101)
     q = 0.25
-    prof = SupportProfile(theta=theta, s=0.8 + q * np.cos(theta), time=0.0)
+    prof = SupportProfile(0.8 + q * np.cos(_grid(101).theta))
     speed = SpeedFunction("gauss_power", 1.0)
     t_ext = sphere_extinction_time(0.8, speed)
     centered = rescale_deviation(prof, t_ext, 0.0, speed, q=q)
@@ -719,6 +744,9 @@ def test_infinite_inputs_rejected():
         lambda: ellipsoid_support(inf, 1.0),
         lambda: ellipsoid_support(1.0, inf),
         lambda: sphere_support(inf),
+        lambda: SupportProfile(np.full(33, inf)),
+        lambda: SupportProfile(np.r_[np.ones(5), inf, np.ones(27)]),
+        lambda: SupportProfile(np.r_[np.ones(5), np.nan, np.ones(27)]),
     ):
         with pytest.raises(DomainError):
             make()
@@ -779,11 +807,10 @@ def test_stage_overflow_rejects_the_step():
     # a first stage that takes the unit sphere to 2^-40 of its support makes
     # the next stage rate k^-30 overflow; under the flow's guard that stage
     # turns NaN radii, and `_rkc` rejects the step
-    theta = _make_grid(33)
-    d, cot, s = theta[1], flowmod._cot_table(theta), np.ones(33)
+    s = np.ones(33)
     mu_t1, _ = flowmod._rkc_coefficients(3)
     rate0 = -(1.0 - 2.0**-40) / mu_t1 * s
-    args = ("gauss_power", 30.0, s, rate0, 1.0, 3, d, cot)
+    args = ("gauss_power", 30.0, s, rate0, 1.0, 3, _grid(33))
     with np.errstate(over="raise"), pytest.raises(FloatingPointError):
         flowmod._rkc(*args)
     with np.errstate(**flowmod._QUIET):
