@@ -19,19 +19,27 @@ Comp. 16, 1962), with the same stability polynomial and about half the
 error of the recurrence's two-stage step (`_rkc_coefficients`).
 Three kernels make up the stepper.  `_rate_and_cap` gives the rate
 -k^(-alpha) and the cap max(df1 + df2) at the start of a step;
-`_step_dt` turns them into the step, a fixed fraction `_EPS` (0.005) of
+`_step_dt` turns them into the step, a fixed fraction `_EPS` (0.008) of
 the remaining shrinking-sphere lifetime but never less than the explicit
 parabolic step `_FLOOR` * dtheta^2 / cap; `_rkc` takes the step in as many
 stages as `_stage_count` asks for, or rejects it (the caller halves dt).
+`_rkc` steps w = (s / max s)^(alpha + 1) rather than s: on a shrinking
+sphere w falls linearly in t, where every Runge-Kutta method is exact, so
+a round start follows its radius law to rounding and the step's error
+comes from the body's departure from round alone.  The Jacobian in w is a
+diagonal similarity of the one in s, so the cap and the stage count carry
+over, and w / |dw/dt| = s / ((alpha + 1) |ds/dt|) leaves `_step_dt` as it
+is.
 They ask `speeds._k_derivs` for no more than they read: `_rate_and_cap`
 for order 1 (k, k1, k2), `_rkc`'s stage rates and `_diagnose`'s
 min |speed| for order 0 (k alone), so no second derivative is formed per
 step.  `run` loops over them on bare arrays; `step` and `adaptive_dt`
 wrap the same kernels for one SupportProfile, so iterating
-`step(p, speed, adaptive_dt(p, speed))` reproduces `run` bit for bit
-while no step is rejected, up to `run`'s last step: that one is shortened
-by a secant step in dt so that min s lands on the stop target, and no
-reported value depends on `_EPS` through where the run stops.  On these
+`step(p, speed, adaptive_dt(p, speed))` reproduces `run` bit for bit, in s
+and in t from the profile's own time, while no step is rejected, up to
+`run`'s last step: that one is shortened by a secant step in dt so that
+min s lands on the stop target, and no reported value depends on `_EPS`
+through where the run stops.  On these
 short arrays a step costs numpy's per-call dispatch more than arithmetic,
 so every whole-array min or max on the stepper path is one argmin or argmax
 and an index (`_min`, `_max`: argmin and argmax stop at the first NaN, so a
@@ -87,12 +95,13 @@ _RECORD_BLOCK = 64
 # over the nodes, but never less than the explicit parabolic step
 # _FLOOR * dtheta^2 / max(df1 + df2), so a coarse grid takes no more steps
 # than the explicit scheme (`_step_dt`).  The stepping error at the stop
-# grows as _EPS^2.  At 0.005 the binding checks read, against their bounds:
-# a round sphere at N = 33 under sum_power, alpha 2 (two-stage steps), 6.2e-4
-# of its radius law against 1e-3; criterion 6's sphere (many stages) 6.4e-4
-# against 1e-3; the explicit reference 5.5e-6 against 1e-5.  0.006 puts the
-# first two at 8.9e-4 and 9.1e-4.
-_EPS = 0.005
+# grows as _EPS^2.  Stepping w = (s / max s)^(alpha + 1) leaves the round
+# spheres exact (criterion 6 reads 1.4e-12, the N = 33 sphere checks at
+# most 1.4e-12, against 1e-3), so the binding check is the explicit
+# reference, `test_rkc_matches_explicit_reference`: its worst case, gauss
+# alpha 2, reads 6.5e-6 of its 1e-5 bound at 0.008 (0.65), 5.8e-6 at
+# 0.0075, 8.2e-6 at 0.009 and 1.0e-5 at 0.01.
+_EPS = 0.008
 _FLOOR = 0.25
 
 # Damping of the RKC stability polynomial: inside the stability interval
@@ -107,9 +116,9 @@ _MAX_STAGES = 1000
 # Where the speed leaves the float range the stepper's kernels overflow (or
 # form 0/0, as norm_power's k1 does once q^3 underflows).  Each such value
 # ends the step the same way: a non-finite cap raises DomainError in
-# `_rate_and_cap`, and a non-finite stage gives a NaN radius, which fails
-# `_convex`, or a -inf support, which fails the positivity test, so `_rkc`
-# rejects the step.  `run`, `step` and `adaptive_dt` silence these warnings
+# `_rate_and_cap`, as does a w or a w scale outside the normal floats in
+# `_rkc`, and a non-finite stage gives a NaN radius (the root of a negative
+# or NaN w is NaN), which fails `_convex`, so `_rkc` rejects the step.  `run`, `step` and `adaptive_dt` silence these warnings
 # once per call: an errstate per kernel call costs more than the power it
 # guards.  `run` builds its records under the caller's error state, so a
 # diagnostic that overflows still warns.
@@ -345,32 +354,53 @@ def _rkc_coefficients(n_stages):
 
 
 def _rkc(family, alpha, s, rate0, dt, n_stages, g):
-    """One RKC step of dt in n_stages stages from s, whose rate is rate0.
-    Returns the new (s, r1, r2, diff) as `_radii` gives them, or None when
-    a stage loses convexity or the result loses convexity or positivity
-    (the caller halves dt), and when n_stages exceeds _MAX_STAGES.  Stage
-    rates need k only: `_k_derivs` at order 0."""
+    """One RKC step of dt in n_stages stages from s, whose rate is rate0,
+    taken in w = (s / c)^(alpha + 1), c = max s.  A stage takes the radii
+    of u = w^(1 / (alpha + 1)) = s / c; r and k are homogeneous of degree
+    one, so dw/dt = -(alpha + 1) c^-(alpha + 1) (u / k(u))^alpha, the scalar
+    folded into the stage coefficient.  Returns the new (s, r1, r2, diff)
+    as `_radii` gives them, or None when a stage loses convexity or the
+    result loses convexity or positivity (the caller halves dt), and when
+    n_stages exceeds _MAX_STAGES.  Raises DomainError when min w or
+    c^-(alpha + 1) is not a normal float.  Stage rates need k only:
+    `_k_derivs` at order 0."""
     if n_stages > _MAX_STAGES:
         return None
+    p = alpha + 1.0
+    c = _max(s)
+    w0 = (s / c) ** p
+    scale = p * c**-p
+    tiny = sys.float_info.min
+    if not (_min(w0) >= tiny and tiny <= scale < math.inf):
+        raise DomainError(
+            f"speed out of the float range: (min s / max s)^{p} or {c}^-{p} "
+            "is not a normal float"
+        )
+    wrate0 = (p * rate0 / s) * w0
+    root = 1.0 / p
     mu_t1, stages = _rkc_coefficients(n_stages)
-    y_prev, y = s, s + (mu_t1 * dt) * rate0
+    # the stages carry d = w - w0, whose update needs no (1 - mu - nu) w0
+    # term: on a sphere it is the increment alone, so no rounding of w0
+    # builds up over a run
+    d_prev, d = 0.0, (mu_t1 * dt) * wrate0
     for mu, nu, mu_t, gamma_t in stages:
-        r1, r2, _ = _radii(y, g)
+        u = (w0 + d) ** root
+        r1, r2, _ = _radii(u, g)
         if not _convex(r1, r2):
             return None
         k = _k_derivs(family, alpha, r1, r2, order=0)
-        # the stage rate is -k^(-alpha), so its term is subtracted
-        y_prev, y = y, (
-            (1.0 - mu - nu) * s
-            + mu * y
-            + nu * y_prev
-            + (gamma_t * dt) * rate0
-            - (mu_t * dt) * k ** (-alpha)
+        # the stage rate is -scale (u / k)^alpha, so its term is subtracted
+        d_prev, d = d, (
+            mu * d
+            + nu * d_prev
+            + (gamma_t * dt) * wrate0
+            - (mu_t * dt * scale) * (u / k) ** alpha
         )
-    r1, r2, diff = _radii(y, g)
-    if not _convex(r1, r2) or _min(y) <= 0:
+    s = c * (w0 + d) ** root
+    r1, r2, diff = _radii(s, g)
+    if not _convex(r1, r2) or _min(s) <= 0:
         return None
-    return y, r1, r2, diff
+    return s, r1, r2, diff
 
 
 def radii_from_support(profile) -> RadiiField:
@@ -543,16 +573,18 @@ class FlowTrace:
     deviation: float = None
 
     def summary_dict(self):
-        """summary.json: every field but records, profile and samples, three
-        columns' pinching drifts and monotone flags (None and False with no
-        records), and the exact sphere extinction time when the step-0
-        record, the start of the flow, is round (min and max support equal)."""
+        """summary.json: every field but records, profile and samples, the
+        record count, three columns' pinching drifts and monotone flags (None
+        and False with no records), and the exact sphere extinction time, on
+        the run's clock, when the step-0 record, the start of the flow, is
+        round (min and max support equal)."""
         out = {
             f.name: getattr(self, f.name)
             for f in fields(self)
             if f.name not in ("records", "profile", "samples")
         }
         out["config"] = asdict(self.config)
+        out["n_records"] = len(self.records)
         drifts = {
             col: pinching_drift([getattr(r, col) for r in self.records])
             if self.records
@@ -568,8 +600,8 @@ class FlowTrace:
         }
         start = self.records[0] if self.records else None
         if start and start.min_support == start.max_support:
-            rho = start.min_support
-            out["sphere_t_exact"] = sphere_extinction_time(rho, self.config.speed())
+            lifetime = sphere_extinction_time(start.min_support, self.config.speed())
+            out["sphere_t_exact"] = start.t + lifetime
         return out
 
 
@@ -604,7 +636,8 @@ def run(config: FlowConfig, profile=None) -> FlowTrace:
     trace CSV.  Every step also keeps (t, a0), a0 the l = 0 amplitude of s
     (the grid's a0 weights), for the extinction fit, so the fit does not
     depend on `record_every`.  A given `profile` must have `config.n_nodes`
-    nodes.
+    nodes; the clock starts at its `time`, as `step`'s does, and T is read
+    on that clock.
 
     There is one exit.  A nonconvex initial profile, or a rejection that
     survives eight halvings, ends the loop with status "convexity_loss";
@@ -625,7 +658,7 @@ def run(config: FlowConfig, profile=None) -> FlowTrace:
 
     records = []
     pending = []  # (n, t, dt, s, r1, r2, diff) of records not yet built
-    t = 0.0
+    t = float(profile.time)
     n = stages = rejected = 0
     dt = dt_max = 0.0
     dt_min = math.inf

@@ -197,13 +197,13 @@ REPORT_SHA256 = [
     pytest.param(
         FLOW_ARGV,
         "summary.json",
-        "2f9ca88f19dacd7443eba035e4324984d6b17004d73d8ac22207abdaf0ba4287",
+        "1d6241609909bb07c5bd82a9218fe8dd8a23cd9644475fd6f16f5f762145db84",
         id="flow-mean-summary",
     ),
     pytest.param(
         FLOW_ARGV,
         "trace.csv",
-        "2cff850e271dd3ca3737bdcfe208f0a4df082670a970cdc1cf68f39ea40c1911",
+        "4bdfe60c321af12bdc4058bfc86ee4336b8d3ad4c9101008dafda2c72f8a490b",
         id="flow-mean-trace",
     ),
     pytest.param(  # find_threshold's default tolerance is 0.05

@@ -252,15 +252,21 @@ def test_step_rejects_bad_dt(monkeypatch):
 
 
 def test_adaptive_dt_frozen():
-    # unit sphere, gauss, alpha=2: the lifetime 1/3, so the step is 0.005 of it
+    # unit sphere, gauss, alpha=2: the lifetime 1/3, so the step is 0.008 of it
+    assert flowmod._EPS == 0.008
     speed = SpeedFunction("gauss_power", 2.0)
     dt = adaptive_dt(sphere_support(1.0, n_nodes=201), speed)
-    assert dt == pytest.approx(0.005 / 3.0, rel=1e-12)
+    assert dt == pytest.approx(0.008 / 3.0, rel=1e-12)
     # at N = 33 and alpha = 0.5 the explicit parabolic step (fdot1 + fdot2 =
-    # 0.5), 4.8e-3, is larger than 0.005 of the lifetime 2/3 and is taken
+    # 0.5), 4.8e-3, is shorter than 0.008 of the lifetime 2/3, 5.3e-3
     speed = SpeedFunction("gauss_power", 0.5)
     dt = adaptive_dt(sphere_support(1.0, n_nodes=33), speed)
-    assert dt == pytest.approx(oracles.cfl_dt(math.pi / 32, 0.25, 0.5), rel=1e-12)
+    assert dt == pytest.approx(0.008 / 1.5, rel=1e-12)
+    # at alpha = 0.25 (fdot1 + fdot2 = 0.25) it is 9.6e-3, longer than 0.008
+    # of the lifetime 0.8, and is taken
+    speed = SpeedFunction("gauss_power", 0.25)
+    dt = adaptive_dt(sphere_support(1.0, n_nodes=33), speed)
+    assert dt == pytest.approx(oracles.cfl_dt(math.pi / 32, 0.25, 0.25), rel=1e-12)
 
 
 def test_adaptive_dt_scaling():
@@ -288,17 +294,27 @@ def test_rkc_matches_explicit_reference(family, alpha):
     assert np.max(np.abs(p.s - s_ref)) / np.max(s_ref) <= 1e-5
 
 
-def stability(n_stages, z):
-    """R(z) of `_rkc_coefficients(n_stages)`: one step of y' = lambda y from
-    y = 1 through `_rkc`'s stage update, z = lambda dt (an array or a
-    Polynomial)."""
-    mu_t1, stages = flowmod._rkc_coefficients(n_stages)
-    y_prev, y = 1.0, 1.0 + mu_t1 * z
+def stage_recurrence(coefficients, f, y0, h):
+    """One step of h of y' = f(y) from y0 through `_rkc`'s stage update, with
+    coefficients in `_rkc_coefficients`'s form."""
+    mu_t1, stages = coefficients
+    f0 = f(y0)
+    y_prev, y = y0, y0 + mu_t1 * h * f0
     for mu, nu, mu_t, gamma_t in stages:
         y_prev, y = y, (
-            (1.0 - mu - nu) + mu * y + nu * y_prev + gamma_t * z + mu_t * z * y
+            (1.0 - mu - nu) * y0
+            + mu * y
+            + nu * y_prev
+            + gamma_t * h * f0
+            + mu_t * h * f(y)
         )
     return y
+
+
+def stability(n_stages, z):
+    """R(z) of `_rkc_coefficients(n_stages)`: one step of y' = lambda y from
+    y = 1, z = lambda dt (an array or a Polynomial)."""
+    return stage_recurrence(flowmod._rkc_coefficients(n_stages), lambda y: z * y, 1.0, 1.0)
 
 
 def test_rkc_stability_polynomial_is_second_order():
@@ -341,14 +357,15 @@ def test_step_and_run_agree_bit_for_bit(family, alpha):
 
 
 # (steps, float.hex(t_extinct), float.hex(profile.s.sum())) of a short flow
-# per family, frozen from the RKC stepper (Ralston's method at two stages)
-# with the mirror-exact stencil, the secant-landed stop and the a0 fit: any
-# change to the rounding of the hot loop moves one of them
+# per family, frozen from the RKC stepper in w = s^(alpha + 1) at _EPS 0.008
+# (Ralston's method at two stages) with the mirror-exact stencil, the
+# secant-landed stop and the a0 fit: any change to the rounding of the hot
+# loop moves one of them
 HOT_LOOP_PINS = {
-    "gauss_power": (1141, "0x1.7388654f991ddp-1", "0x1.aa833ab8fea80p+2"),
-    "mean_power": (1135, "0x1.e5ba72dff984cp-3", "0x1.ad037d5fa7327p+2"),
-    "norm_power": (1120, "0x1.72f9f4d75a844p-2", "0x1.b435d6cde11fcp+2"),
-    "sum_power": (1129, "0x1.47b48a7ac9b3fp-2", "0x1.af994907ad6d3p+2"),
+    "gauss_power": (712, "0x1.738863145bf05p-1", "0x1.aa834014b603ep+2"),
+    "mean_power": (709, "0x1.e5ba661d138a3p-3", "0x1.ad039bc10480bp+2"),
+    "norm_power": (699, "0x1.72f9d78420a5cp-2", "0x1.b435e5f531fa4p+2"),
+    "sum_power": (705, "0x1.47b4840f0eb1fp-2", "0x1.af994fd0067bep+2"),
 }
 
 
@@ -369,10 +386,10 @@ def test_run_hot_loop_bytes_pinned(family):
 # one line of float.hex fields per record, frozen with HOT_LOOP_PINS: a
 # rounding change that `diagnostics` shares moves them
 RECORD_PINS = {
-    "gauss_power": "3728577fc27f8e75846670187a477ce6a02c21c76cda694bc2936012b50edf0a",
-    "mean_power": "a89cd4d1024bf01e5f85abf9387dc76dee2fc145638f5ae87eebc0f9a9bf6dca",
-    "norm_power": "84c8a33594297db33e6a5035f7b89523f14170fb170c9d4f9835af310b719c5c",
-    "sum_power": "2796f7e9e2d085ee49ad60be406c0e48652b84355072d845e1d2db530994ce69",
+    "gauss_power": "01888e7e8a2b8d355bb1e0eff12937921523d5f66bb163a7f15da7b58d4d1957",
+    "mean_power": "1407dc256cc7ee2e7dd45836494f2effabaab837665176419a581017bbe7aaeb",
+    "norm_power": "f76f65a86508f70e1cc10c974e38d38dfa9cf0e24267aa5114052027e963eb9c",
+    "sum_power": "2a3060e2873f037adb9e72609ae1a12f70fdc391526a2268b4cdde17bb66bc35",
 }
 
 
@@ -655,6 +672,47 @@ def test_run_round_sphere_every_family(family, alpha):
     assert trace.deviation <= 1e-5
 
 
+@pytest.mark.parametrize("n_nodes", [33, 101])
+@pytest.mark.parametrize("family, alpha", SPHERE_CASES)
+def test_run_round_sphere_to_rounding(family, alpha, n_nodes):
+    # the stepper's w = s^(alpha + 1) falls linearly on a sphere, so the
+    # records follow the radius law and T follows the family's lifetime up
+    # to rounding: at most 1.4e-12 and 5e-15 in runs of this code (the law's
+    # 1 - rate t cancels to 1e-3 at the alpha = 2 stop, which costs the law
+    # three digits)
+    cfg = FlowConfig(family, alpha, a=1.0, b=1.0, n_nodes=n_nodes, stop_fraction=0.1)
+    trace = run(cfg)
+    worst = 0.0
+    for rec in trace.records:
+        rho = oracles.sphere_radius_oracle(1.0, alpha, rec.t, family)
+        err = max(abs(rec.min_support - rho), abs(rec.max_support - rho)) / rho
+        worst = max(worst, err)
+    assert worst <= 1e-11
+    t_exact = oracles.sphere_time_oracle(1.0, alpha, family)
+    assert abs(trace.t_extinct / t_exact - 1.0) <= 1e-13
+
+
+def test_run_starts_at_the_profile_time():
+    # a unit sphere at t = 0.3: the clock, T and sphere_t_exact all run on
+    # the profile's time, and iterated `step` matches `run` on s and t
+    speed = SpeedFunction("gauss_power", 1.0)
+    start = SupportProfile(sphere_support(1.0, 33).s, time=0.3)
+    cfg = FlowConfig("gauss_power", 1.0, n_nodes=33, stop_fraction=0.2, record_every=1)
+    trace = run(dataclasses.replace(cfg, max_steps=20), start)
+    assert trace.records[0].t == 0.3 and trace.steps == 20
+    p = start
+    for rec in trace.records[1:]:
+        p = step(p, speed, adaptive_dt(p, speed))
+        assert p.time == rec.t
+    assert np.array_equal(p.s, trace.profile.s)
+    assert p.time == trace.t_final == trace.profile.time
+    lifetime = sphere_extinction_time(1.0, speed)
+    full = run(cfg, start)
+    assert full.summary_dict()["sphere_t_exact"] == 0.3 + lifetime
+    assert full.t_extinct == pytest.approx(0.3 + lifetime, rel=1e-13)
+    assert full.deviation <= 1e-12
+
+
 def test_sphere_t_exact_follows_the_given_profile():
     # the config's semi-axes describe the default start, not a given profile
     cfg = FlowConfig("gauss_power", 1.0, n_nodes=33, stop_fraction=0.2)
@@ -667,19 +725,29 @@ def test_sphere_t_exact_follows_the_given_profile():
 
 @pytest.mark.parametrize("family, alpha", SPHERE_CASES)
 def test_ralston_two_stage_step_beats_the_recurrence(monkeypatch, family, alpha):
-    # one N = 33 sphere step, which takes two stages: Ralston's inner stage
-    # at c = 2/3 errs at most 0.6 times as much as the recurrence's at 0.24
+    # one N = 33 sphere step.  The flow steps w = rho^(alpha + 1), which
+    # falls linearly, so either two-stage method is exact there up to
+    # rounding; on the radius itself, rho' = -c rho^-alpha with
+    # c = k(1, 1)^-alpha, Ralston's inner stage at c = 2/3 errs at most 0.6
+    # times as much as the recurrence's at 0.24
     speed = SpeedFunction(family, alpha)
     p = sphere_support(1.0, n_nodes=33)
     dt = adaptive_dt(p, speed)
-    r1, r2, _ = flowmod._radii(p.s, _grid(33))
-    _, cap = flowmod._rate_and_cap(family, alpha, r1, r2)
-    assert flowmod._stage_count(dt, cap, p.dtheta) == 2
     exact = oracles.sphere_radius_oracle(1.0, alpha, dt, family)
-    ralston = np.max(np.abs(step(p, speed, dt).s - exact))
-    monkeypatch.setattr(flowmod, "_rkc_coefficients", lambda n: oracles.RKC_TWO_STAGE)
-    recurrence = np.max(np.abs(step(p, speed, dt).s - exact))
-    assert ralston <= 0.6 * recurrence
+    c = -oracles.speed_value(family, alpha, 1.0, 1.0)
+
+    def rate(rho):
+        return -c * rho**-alpha
+
+    ralston = flowmod._rkc_coefficients(2)
+    errs = [
+        abs(stage_recurrence(coefficients, rate, 1.0, dt) - exact)
+        for coefficients in (ralston, oracles.RKC_TWO_STAGE)
+    ]
+    assert errs[0] <= 0.6 * errs[1]
+    for coefficients in (ralston, oracles.RKC_TWO_STAGE):
+        monkeypatch.setattr(flowmod, "_rkc_coefficients", lambda n: coefficients)
+        assert np.max(np.abs(step(p, speed, dt).s - exact)) <= 4e-16
 
 
 def test_extinction_estimate_low_confidence_flag():
@@ -804,17 +872,37 @@ def test_run_hidden_overflows_end_the_step(monkeypatch, family, alpha, a, b, ove
 
 
 def test_stage_overflow_rejects_the_step():
-    # a first stage that takes the unit sphere to 2^-40 of its support makes
-    # the next stage rate k^-30 overflow; under the flow's guard that stage
-    # turns NaN radii, and `_rkc` rejects the step
-    s = np.ones(33)
+    # a first stage that sharpens the unit sphere's poles to a radius of
+    # 2^-36 puts u / k near 2^36 there, and the next stage rate (u / k)^30
+    # overflows; under the flow's guard that stage turns NaN radii, and
+    # `_rkc` rejects the step
+    g = _grid(33)
+    s, u = np.ones(33), np.ones(33)
+    u[[1, -2]] = 1.0 - (1.0 - 2.0**-36) * g.d * g.d / 2.0
     mu_t1, _ = flowmod._rkc_coefficients(3)
-    rate0 = -(1.0 - 2.0**-40) / mu_t1 * s
-    args = ("gauss_power", 30.0, s, rate0, 1.0, 3, _grid(33))
+    # in w = s^31 the first stage of a step of 1 adds mu_t1 * 31 * rate0
+    rate0 = (u**31 - 1.0) / (mu_t1 * 31.0)
+    args = ("gauss_power", 30.0, s, rate0, 1.0, 3, g)
     with np.errstate(over="raise"), pytest.raises(FloatingPointError):
         flowmod._rkc(*args)
     with np.errstate(**flowmod._QUIET):
         assert flowmod._rkc(*args) is None
+
+
+def test_support_ratio_out_of_the_float_range_raises():
+    # a unit sphere whose centre sits 2^-52 from the origin: at alpha = 19,
+    # w = (s / max s)^20 falls to about 2^-1060 at the south pole, below the
+    # normal floats, so the step cannot be taken in w and the flow says so
+    # rather than ending in a convexity loss
+    prof = SupportProfile(1.0 + (1.0 - 2.0**-52) * np.cos(_grid(33).theta))
+    speed = SpeedFunction("gauss_power", 19.0)
+    dt = adaptive_dt(prof, speed)
+    for call in (
+        lambda: run(FlowConfig("gauss_power", 19.0, n_nodes=33), prof),
+        lambda: step(prof, speed, dt),
+    ):
+        with pytest.raises(DomainError, match="speed out of the float range"):
+            call()
 
 
 def test_step_and_adaptive_dt_out_of_range_do_not_warn():
