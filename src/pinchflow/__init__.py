@@ -16,24 +16,11 @@ from .errors import (
 from .speeds import (
     FAMILIES,
     FDerivs,
-    KDerivs,
     RadiiPoint,
     SpeedFunction,
-    eval_f,
     eval_f_derivs,
-    eval_k_derivs,
 )
-from .pinching import (
-    GDerivs,
-    closed_numerator_coeffs,
-    convexity_condition,
-    g_derivs,
-    gradient_terms_gauss_closed,
-    gradient_terms_general,
-    pinching_quantity,
-    q_full_reduction_check,
-    zero_order_term,
-)
+from .pinching import gradient_terms_gauss_closed, gradient_terms_general
 from .certificates import (
     QReport,
     ThresholdResult,
@@ -54,7 +41,6 @@ from .flow import (
     rescale_deviation,
     run,
     sphere_extinction_time,
-    sphere_radius_law,
     sphere_support,
     step,
 )

@@ -269,10 +269,11 @@ def cmd_sweep(args):
     ]
     out = _ensure_out(args.out)
     items = [(i, c, out) for i, c in enumerate(configs)]
-    if workers == 1 or len(items) == 1:
+    if workers == 1 or len(items) <= 1:
         results = [_sweep_worker(item) for item in items]
     else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        # a forked pool starts all its workers at the first submit
+        with ProcessPoolExecutor(max_workers=min(workers, len(items))) as pool:
             results = list(pool.map(_sweep_worker, items))
     # worker count deliberately left out: reports must not depend on it
     combined = {

@@ -118,10 +118,11 @@ _MAX_STAGES = 1000
 # ends the step the same way: a non-finite cap raises DomainError in
 # `_rate_and_cap`, as does a w or a w scale outside the normal floats in
 # `_rkc`, and a non-finite stage gives a NaN radius (the root of a negative
-# or NaN w is NaN), which fails `_convex`, so `_rkc` rejects the step.  `run`, `step` and `adaptive_dt` silence these warnings
-# once per call: an errstate per kernel call costs more than the power it
-# guards.  `run` builds its records under the caller's error state, so a
-# diagnostic that overflows still warns.
+# or NaN w is NaN), which fails `_convex`, so `_rkc` rejects the step.
+# `run`, `step` and `adaptive_dt` silence these warnings once per call: an
+# errstate per kernel call costs more than the power it guards.  `run`
+# builds its records under the caller's error state, so a diagnostic that
+# overflows still warns.
 _QUIET = dict(over="ignore", invalid="ignore")
 
 # Capacity of `run`'s (t, a0) sample arrays before their first doubling.
@@ -760,15 +761,6 @@ def _sphere_law(speed):
     return alpha + 1.0, (alpha + 1.0) * c**-alpha
 
 
-def sphere_radius_law(rho0, speed, t):
-    """Exact shrinking-sphere radius: rho^(alpha+1) decreases linearly."""
-    power, rate = _sphere_law(speed)
-    val = rho0**power - rate * t
-    if val <= 0:
-        raise DomainError("time at or beyond extinction")
-    return val ** (1.0 / power)
-
-
 def sphere_extinction_time(rho0, speed):
     power, rate = _sphere_law(speed)
     return rho0**power / rate
@@ -790,15 +782,17 @@ def extinction_estimate(trace: FlowTrace) -> ExtinctionEstimate:
     on the axis, and on a rounding body the l = 2 mode enters a0 only at
     second order (min s carries it at first), so a straight-line fit over
     the last tenth of the steps (at least 5) extrapolates to zero.  The fit
-    runs on t over its last value and a0 over its first, so it holds for
-    bodies far below or above unit size.  The flag goes up when the tail is
+    runs on t over the magnitude of its last value and a0 over its first,
+    so it holds for bodies far below or above unit size and for a clock
+    that runs at negative times.  The flag goes up when the tail is
     too short or the fitted slope fails to be negative.
     """
     alpha = float(trace.config.alpha)
     ts, a0s = trace.samples
     k = max(5, len(ts) // 10)
     tail_t, tail_a = ts[-k:], a0s[-k:]
-    t_scale, a_scale = tail_t[-1], tail_a[0]
+    t_last, a_scale = tail_t[-1], tail_a[0]
+    t_scale = abs(t_last)
     x, y = tail_t / t_scale, (tail_a / a_scale) ** (alpha + 1.0)
     low = len(ts) < 5
     if len(x) >= 2 and np.ptp(x) > 0:
@@ -808,10 +802,10 @@ def extinction_estimate(trace: FlowTrace) -> ExtinctionEstimate:
         low = True
     if slope >= 0:
         low = True
-        t_ext = float(t_scale)
+        t_ext = float(t_last)
     else:
         t_ext = float(-intercept / slope * t_scale)
-        if t_ext <= t_scale:
+        if t_ext <= t_last:
             low = True
     return ExtinctionEstimate(
         t_extinct=t_ext,

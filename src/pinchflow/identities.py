@@ -15,16 +15,18 @@ suite that catches derivative errors.
 
 The two random suites evaluate their draws as arrays.  Draw i has family
 FAMILIES[i % 4], so each family's draws take one pass through the generic
-kernels the per-point API runs too (`speeds._f_derivs`,
-`pinching._zero_order`, `pinching._q_full`).  The reports are bit for bit
-those of a draw-at-a-time loop, the reference in `tests/oracles.py`: the
-worst draw is the first with the largest ratio, and the draws are the
-doubles per-call `Generator.uniform` gives.  `Generator.random` takes one
-64-bit word per double whatever the size asked for, so the zero-order
-suite draws all its uniforms in one call.  The reduction suite's rows
-also hold a `normal` pair, which takes a variable number of words, so
-each row costs two calls on the same stream: the pair, then one fill of
-the row's last uniform and the next row's first three (`_reduction_rows`).
+kernels (`speeds._f_derivs`, `pinching._zero_order`, `pinching._q_full`).
+The reports are bit for bit those of a draw-at-a-time loop, the reference
+in `tests/oracles.py`, whose per-draw Z and reduction residuals
+(`zero_order_term`, `q_full_reduction_check`) run the same kernels on one
+point at a time: the worst draw is the first with the largest ratio, and
+the draws are the doubles per-call `Generator.uniform` gives.
+`Generator.random` takes one 64-bit word per double whatever the size
+asked for, so the zero-order suite draws all its uniforms in one call.
+The reduction suite's rows also hold a `normal` pair, which takes a
+variable number of words, so each row costs two calls on the same stream:
+the pair, then one fill of the row's last uniform and the next row's
+first three (`_reduction_rows`).
 The arrays are `_ScalarPow` views whose `**` is `np.float_power`.  numpy's
 array power can take SIMD code that differs in the last bit from libm's
 `pow`, which Python floats and numpy scalars use; `np.float_power` calls

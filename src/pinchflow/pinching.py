@@ -1,9 +1,10 @@
 """Pinching algebra for the test function G = -f(r2 - r1) - const.
 
 Provides the G-derivatives, the zero-order term Z (identically zero for any
-surface speed, returned as a residual), the gradient-term coefficients Q1/Q2
-in general and gauss closed form, the full-Q reduction self check, and the
-alpha^3-convexity margin.
+surface speed), the gradient-term coefficients Q1/Q2 in general and gauss
+closed form, and the eight-term Q that the reduction suite compares with
+Q1 T1^2 + Q2 T2^2.  The per-point references for Z and the reduction live
+with their only callers, in `tests/oracles.py`.
 
 Each formula is written once, over + - * / so that Fractions, floats, numpy
 arrays, mpmath numbers and the exact ring of the certificates run the same
@@ -26,7 +27,6 @@ comparable.
 """
 
 from fractions import Fraction
-from typing import NamedTuple
 
 import numpy as np
 
@@ -35,18 +35,9 @@ from .speeds import (
     RadiiPoint,
     SpeedFunction,
     _f_derivs,
-    _k_derivs,
     _wants_exact,
     eval_f_derivs,
 )
-
-
-class GDerivs(NamedTuple):
-    g1: float
-    g2: float
-    g11: float
-    g12: float
-    g22: float
 
 
 def _require_ordered(r: RadiiPoint):
@@ -63,30 +54,18 @@ def _gdot(fd, w):
     return f - f1 * w, -f - f2 * w
 
 
-def _g_derivs(fd, w) -> GDerivs:
+def _g_derivs(fd, w):
+    """(g1, g2, g11, g12, g22), the first and second radii-derivatives of G
+    (the additive constant drops); generic in the scalar type."""
     f, f1, f2, f11, f12, f22 = fd
-    return GDerivs(*_gdot(fd, w), 2 * f1 - f11 * w, f2 - f1 - f12 * w, -2 * f2 - f22 * w)
-
-
-def g_derivs(speed: SpeedFunction, r: RadiiPoint) -> GDerivs:
-    """First and second radii-derivatives of G (the additive constant drops)."""
-    _require_ordered(r)
-    return _g_derivs(eval_f_derivs(speed, r), r.r2 - r.r1)
-
-
-def zero_order_term(speed: SpeedFunction, r: RadiiPoint):
-    """Reaction-term combination Z; identically zero for every speed, so the
-    returned value is a pure floating-point residual (a built-in self test).
-
-    Z expands to 0 for any values (f, f1, f2), right or wrong, so it measures
-    rounding only; identities.closed_agreement_suite catches derivative errors.
-    """
-    _require_ordered(r)
-    return _zero_order(eval_f_derivs(speed, r), r.r1, r.r2)
+    return (*_gdot(fd, w), 2 * f1 - f11 * w, f2 - f1 - f12 * w, -2 * f2 - f22 * w)
 
 
 def _zero_order(fd, r1, r2):
-    """Z from (f, fdot) at radii (r1, r2); generic in the scalar type."""
+    """Reaction-term combination Z from (f, fdot) at radii (r1, r2); generic
+    in the scalar type.  Z expands to 0 for any values (f, f1, f2), right or
+    wrong, so it measures rounding only; identities.closed_agreement_suite
+    catches derivative errors."""
     f, f1, f2 = fd[:3]
     g1, g2 = _gdot(fd, r2 - r1)
     return (f + f1 * r1 + f2 * r2) * (g1 + g2) - (f1 + f2) * (g1 * r1 + g2 * r2)
@@ -185,14 +164,6 @@ def _closed_numerator_ints(alpha):
     return d * d, n1, n1[::-1] + [0, 0]
 
 
-def closed_numerator_coeffs(alpha):
-    """Exact coefficients (t^3, t^2, t^1, t^0) of the first closed-form
-    numerator at r1=1, r2=t, as Fractions; the second numerator is the
-    t^5-reversal."""
-    scale, n1, _ = _closed_numerator_ints(Fraction(alpha))
-    return tuple(Fraction(c, scale) for c in n1)
-
-
 def _closed_numerator_columns(a):
     """`_closed_numerator_ints` as float columns for an alpha column a: each
     coefficient by integer true division, which rounds correctly, so it is
@@ -260,29 +231,16 @@ def gradient_terms_gauss_closed(r: RadiiPoint, alpha):
     return q1 * scale, q2 * scale
 
 
-def q_full_reduction_check(speed: SpeedFunction, r: RadiiPoint, T1, T2):
-    """Residual of the eight-term Q against Q1*T1^2 + Q2*T2^2.
+def _q_full(fd, w, T1, T2):
+    """The eight-term Q from (f, fdot, fddot), w = r2 - r1 and the slack
+    components T1, T2; floats or float arrays.
 
     The gradient components are synthesized from the two first-derivative
     constraints and the Codazzi symmetries, with the slack directions scaled
     by lambda_i = sqrt(-2/f)/|gdot_i| so the reduction lands in the same
-    normalization as gradient_terms_general.  Contract: residual ~ 0.
-
-    Both sides are built from the same derivative values and agree
-    algebraically for any of them, so the residual measures rounding only;
-    identities.closed_agreement_suite catches derivative errors.
+    normalization as gradient_terms_general: Q = Q1 T1^2 + Q2 T2^2 up to
+    rounding, for any derivative values.
     """
-    _require_ordered(r)
-    fd = tuple(float(v) for v in eval_f_derivs(speed, r))
-    q_full = _q_full(fd, float(r.r2 - r.r1), T1, T2)
-    rp = RadiiPoint(float(r.r1), float(r.r2))
-    q1, q2 = gradient_terms_general(SpeedFunction(speed.family, float(speed.alpha)), rp)
-    return q_full - (q1 * T1 * T1 + q2 * T2 * T2)
-
-
-def _q_full(fd, w, T1, T2):
-    """The eight-term Q of q_full_reduction_check from (f, fdot, fddot),
-    w = r2 - r1 and the slack components T1, T2; floats or float arrays."""
     f, f1, f2, f11, f12, f22 = fd
     g1, g2, g11, g12, g22 = _g_derivs(fd, w)
     lam1 = np.sqrt(-2 / f) / abs(g1)
@@ -304,26 +262,6 @@ def _q_full(fd, w, T1, T2):
         + 2 * (g2 * f12 - f2 * g12) * d2r11 * d2r22
         + 2 * cross * d2r12**2
     )
-
-
-def convexity_condition(speed: SpeedFunction, r: RadiiPoint):
-    """Margin (LHS - RHS) of the alpha^3-coefficient inequality
-
-        2 kdot1 kdot2 (kdot1 + kdot2) >= (r2 - r1) |kddot(v, v)|,
-
-    with v = kdot2 e1 - kdot1 e2.  Nonnegative margin means the cubic alpha
-    coefficients of Q1 and Q2 are nonnegative (convexity of Q_i/alpha)."""
-    _require_ordered(r)
-    k, k1, k2, k11, k12, k22 = _k_derivs(speed.family, float(speed.alpha), float(r.r1), float(r.r2))
-    lhs = 2 * k1 * k2 * (k1 + k2)
-    kvv = k11 * k2 * k2 - 2 * k12 * k1 * k2 + k22 * k1 * k1
-    return lhs - float(r.r2 - r.r1) * abs(kvv)
-
-
-def pinching_quantity(r: RadiiPoint, alpha):
-    """(r1 - r2)^2 / (r1 r2)^alpha; umbilic input allowed (gives 0)."""
-    r1, r2 = float(r.r1), float(r.r2)
-    return (r1 - r2) ** 2 / (r1 * r2) ** float(alpha)
 
 
 def gradient_terms_general_arrays(speed: SpeedFunction, t):

@@ -50,15 +50,6 @@ class SpeedFunction:
             raise DomainError(f"alpha must be finite and positive, got {self.alpha}")
 
 
-class KDerivs(NamedTuple):
-    k: float
-    k1: float
-    k2: float
-    k11: float
-    k12: float
-    k22: float
-
-
 class FDerivs(NamedTuple):
     f: float
     f1: float
@@ -71,12 +62,13 @@ class FDerivs(NamedTuple):
 def _k_derivs(family, alpha, r1, r2, order=2):
     """k and its radii-derivatives up to `order`, closed form per family.
 
-    order 0 gives k alone (the flow's RKC stage rates, `min_abs_speed` and
-    `eval_f`), order 1 gives (k, k1, k2) (the flow's rate at the start of a
-    step and the cap that sets its step floor and stage count), and order 2,
-    the default, gives (k, k1, k2, k11, k12, k22).  Each expression is
-    written once and a lower order returns before the higher ones, so every
-    order yields the same bits as the matching prefix of order 2.
+    order 0 gives k alone (the flow's RKC stage rates, its sphere law and
+    `min_abs_speed`), order 1 gives (k, k1, k2) (the flow's rate at the
+    start of a step and the cap that sets its step floor and stage count),
+    and order 2, the default, gives (k, k1, k2, k11, k12, k22).  Each
+    expression is written once and a lower order returns before the higher
+    ones, so every order yields the same bits as the matching prefix of
+    order 2.
     """
     if family == "gauss_power":
         k = np.sqrt(r1 * r2)
@@ -187,18 +179,6 @@ def _wants_exact(speed, r):
         return False
     beta = Fraction(speed.alpha) / 2
     return beta.denominator == 1 and beta > 0
-
-
-def eval_f(speed: SpeedFunction, r: RadiiPoint):
-    """Speed value f(r1, r2) = -k^(-alpha); strictly negative."""
-    if _wants_exact(speed, r):
-        return _gauss_f_derivs_exact(speed.alpha, r.r1, r.r2).f
-    k = _k_derivs(speed.family, speed.alpha, float(r.r1), float(r.r2), order=0)
-    return -(k ** -float(speed.alpha))
-
-
-def eval_k_derivs(speed: SpeedFunction, r: RadiiPoint) -> KDerivs:
-    return KDerivs(*_k_derivs(speed.family, float(speed.alpha), float(r.r1), float(r.r2)))
 
 
 def eval_f_derivs(speed: SpeedFunction, r: RadiiPoint) -> FDerivs:

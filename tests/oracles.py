@@ -20,18 +20,20 @@ from math import floor, lcm
 import numpy as np
 
 from pinchflow.certificates import _taylor_shift
-from pinchflow.errors import SignBudgetError
+from pinchflow.errors import DomainError, SignBudgetError
+from pinchflow.flow import _sphere_law
 from pinchflow.identities import AGREEMENT_BOUND, REDUCTION_BOUND, Z_BOUND
 from pinchflow.pinching import (
     _gradient_terms_raw,
     _power_sum_p,
     _power_sum_table,
+    _q_full,
     _raw_arrays,
+    _require_ordered,
+    _zero_order,
     gradient_terms_general,
     gradient_terms_general_arrays,
     horner,
-    q_full_reduction_check,
-    zero_order_term,
 )
 from pinchflow.speeds import RadiiPoint, SpeedFunction, eval_f_derivs
 
@@ -137,6 +139,17 @@ def sphere_time_oracle(rho0, alpha, family="gauss_power"):
     return rho0 ** (alpha + 1.0) / sphere_rate_oracle(alpha, family)
 
 
+def sphere_radius_law(rho0, speed, t):
+    """The shrinking-sphere radius through the package's own sphere law
+    (`flow._sphere_law`, which `sphere_extinction_time` and
+    `rescale_deviation` use): rho^(alpha+1) decreases linearly."""
+    power, rate = _sphere_law(speed)
+    val = rho0**power - rate * t
+    if val <= 0:
+        raise DomainError("time at or beyond extinction")
+    return val ** (1.0 / power)
+
+
 def cfl_dt(dtheta, safety, fdot_sum_max):
     """The explicit parabolic step safety * dtheta^2 / max(fdot1 + fdot2)."""
     return safety * dtheta * dtheta / fdot_sum_max
@@ -236,9 +249,6 @@ GAUSS_A1_12_Q1 = -27.0 / (9.0 * 2.0**1.5)
 CONVEXITY_14 = 0.25
 # gauss at (1,100): quarter-expressions (10 + 0.1)/4 - (10 - 0.1)/4
 CONVEXITY_1_100 = 0.05
-# pinching examples: (1,2) alpha 2 -> 1/4; (2,4) alpha 1 -> 4/8
-PINCH_12_A2 = 0.25
-PINCH_24_A1 = 0.5
 # 2:1 spheroid, alpha 2: equator value 9/16; true sup 16/27 at s^2 = 4/3
 PINCH_21_EQUATOR = 9.0 / 16.0
 PINCH_21_SUP = 16.0 / 27.0
@@ -259,9 +269,30 @@ def _draw_radii(rng):
     return RadiiPoint(r1, r1 * t)
 
 
+def zero_order_term(speed, r):
+    """Reaction-term combination Z at one point, through the package's
+    kernels; identically zero for every speed, so the value is a pure
+    floating-point residual."""
+    _require_ordered(r)
+    return _zero_order(eval_f_derivs(speed, r), r.r1, r.r2)
+
+
+def q_full_reduction_check(speed, r, T1, T2):
+    """Residual of the eight-term Q (`pinching._q_full`) against
+    Q1*T1^2 + Q2*T2^2 at one point, through the package's kernels.  Both
+    sides are built from the same derivative values, so the residual
+    measures rounding only."""
+    _require_ordered(r)
+    fd = tuple(float(v) for v in eval_f_derivs(speed, r))
+    q_full = _q_full(fd, float(r.r2 - r.r1), T1, T2)
+    rp = RadiiPoint(float(r.r1), float(r.r2))
+    q1, q2 = gradient_terms_general(SpeedFunction(speed.family, float(speed.alpha)), rp)
+    return q_full - (q1 * T1 * T1 + q2 * T2 * T2)
+
+
 def z_residual_suite_loop(draws=10000, seed=0):
-    """identities.z_residual_suite one draw at a time through the package's
-    per-point API: the slow reference for its array evaluation."""
+    """identities.z_residual_suite one draw at a time through
+    `zero_order_term`: the slow reference for its array evaluation."""
     rng = np.random.default_rng(seed)
     worst = 0.0
     worst_case = None

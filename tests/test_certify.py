@@ -15,7 +15,6 @@ from pinchflow import (
     SpeedFunction,
     certificates,
     certify_nonpositive,
-    closed_numerator_coeffs,
     find_threshold,
     gradient_terms_gauss_closed,
     gradient_terms_general,
@@ -84,7 +83,7 @@ def test_certify_gauss_certified_range():
 def test_certify_gauss_leading_coefficients():
     # alpha=1.5: both leading coefficients negative, reported in the method
     rep = certify_nonpositive("gauss_power", alpha=1.5)
-    c3 = closed_numerator_coeffs(1.5)[0]
+    c3 = oracles.numerator_coeffs_oracle(1.5)[0]
     assert c3 == Fraction(-1)
     assert "leading" in rep.method
 
@@ -121,7 +120,7 @@ def test_certify_gauss_violations_with_witness(monkeypatch):
         q1, q2 = gradient_terms_gauss_closed(RadiiPoint(1.0, rep.witness_t), alpha)
         assert max(q1, q2) == pytest.approx(rep.witness_q, rel=1e-9), alpha
         # confirm the witness against high-precision closed evaluation
-        c3, c2, c1, c0 = (float(c) for c in closed_numerator_coeffs(alpha))
+        c3, c2, c1, c0 = (float(c) for c in oracles.numerator_coeffs_oracle(alpha))
         with mpmath.workprec(120):
             t = mpmath.mpf(rep.witness_t)
             n1 = ((c3 * t + c2) * t + c1) * t + c0

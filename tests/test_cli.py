@@ -58,8 +58,9 @@ def test_verify_identities_negative_control(tmp_path):
 
         out = tmp_path / name
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(speeds, attr, corrupted)
-            mp.setattr(pinching, attr, corrupted)
+            for module in (speeds, pinching):
+                if hasattr(module, attr):
+                    mp.setattr(module, attr, corrupted)
             code = invoke("verify-identities", "--draws", "200", "--out", str(out))
         assert code == 1, name
         doc = json.loads((out / "identities.json").read_text())
@@ -617,6 +618,36 @@ def test_sweep_deterministic_across_worker_counts(tmp_path):
         assert code == 0
         outs.append(strip_timestamp((out / "sweep.json").read_text()))
     assert outs[0] == outs[1]
+
+
+def test_sweep_pool_no_larger_than_the_sweep(tmp_path, monkeypatch):
+    # a forked pool starts every worker it is sized for, so the pool is
+    # sized by the run count; an empty sweep builds no pool at all
+    sizes = []
+
+    class FakePool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", FakePool)
+    body = {
+        "base": {"family": "gauss_power", "n_nodes": 33, "stop_fraction": 0.2},
+        "sweep": {"alpha": [1.0, 1.5, 2.0]},
+    }
+    assert invoke("sweep", "--config", sweep_config(tmp_path, body), "--workers", "64") == 0
+    assert sizes == [3]
+    empty = sweep_config(tmp_path, {"runs": []})
+    assert invoke("sweep", "--config", empty, "--workers", "64") == 0
+    assert sizes == [3]
 
 
 # --- byte identity script ----------------------------------------------------

@@ -23,7 +23,6 @@ from pinchflow import (
     rescale_deviation,
     run,
     sphere_extinction_time,
-    sphere_radius_law,
     sphere_support,
     step,
 )
@@ -31,6 +30,7 @@ import pinchflow.flow as flowmod
 from pinchflow.flow import TRACE_COLUMNS, SupportProfile, _grid, pinching_drift
 
 import oracles
+from oracles import sphere_radius_law
 
 
 def hex_row(values):
@@ -711,6 +711,21 @@ def test_run_starts_at_the_profile_time():
     assert full.summary_dict()["sphere_t_exact"] == 0.3 + lifetime
     assert full.t_extinct == pytest.approx(0.3 + lifetime, rel=1e-13)
     assert full.deviation <= 1e-12
+
+
+def test_extinction_fit_on_a_negative_clock():
+    # the fit scales t by the magnitude of its last value, so a clock that
+    # ends below zero neither flips the slope nor loses the fit
+    cfg = FlowConfig("gauss_power", 1.0, a=2.0, b=1.0, n_nodes=51, stop_fraction=0.1)
+    s = ellipsoid_support(2.0, 1.0, 51).s
+    ref = run(cfg, SupportProfile(s, 0.0))
+    assert not ref.extinction_low_confidence
+    for t0 in (-10.0, 5.0):
+        trace = run(cfg, SupportProfile(s, t0))
+        assert trace.t_final < 0 if t0 < 0 else trace.t_final > 0
+        assert not trace.extinction_low_confidence
+        assert trace.t_extinct - t0 == pytest.approx(ref.t_extinct, rel=1e-9)
+        assert trace.deviation == pytest.approx(ref.deviation, rel=1e-9)
 
 
 def test_sphere_t_exact_follows_the_given_profile():

@@ -13,19 +13,20 @@ from pinchflow import (
     RadiiPoint,
     SpeedFunction,
     UmbilicError,
-    closed_numerator_coeffs,
-    convexity_condition,
     eval_f_derivs,
-    g_derivs,
     gradient_terms_gauss_closed,
     gradient_terms_general,
-    pinching_quantity,
-    q_full_reduction_check,
-    zero_order_term,
 )
-from pinchflow.pinching import _closed_numerator_columns
+from pinchflow.pinching import (
+    _closed_numerator_columns,
+    _closed_numerator_ints,
+    _g_derivs,
+    _require_ordered,
+)
+from pinchflow.speeds import _k_derivs
 
 import oracles
+from oracles import q_full_reduction_check, zero_order_term
 
 ordered_radii_st = st.tuples(
     st.floats(0.05, 10.0), st.floats(1.001, 50.0)
@@ -34,24 +35,47 @@ alpha_st = st.floats(0.5, 10.0)
 family_st = st.sampled_from(FAMILIES)
 
 
+def closed_coeffs(alpha):
+    """The package's first closed numerator, descending (t^3 .. t^0), as
+    Fractions from the integer lists of `_closed_numerator_ints`."""
+    scale, n1, _ = _closed_numerator_ints(Fraction(alpha))
+    return tuple(Fraction(c, scale) for c in n1)
+
+
+def convexity_condition(speed, r):
+    """Margin (LHS - RHS) of the alpha^3-coefficient inequality
+
+        2 kdot1 kdot2 (kdot1 + kdot2) >= (r2 - r1) |kddot(v, v)|,
+
+    with v = kdot2 e1 - kdot1 e2.  Nonnegative margin means the cubic alpha
+    coefficients of Q1 and Q2 are nonnegative (convexity of Q_i/alpha)."""
+    _require_ordered(r)
+    k, k1, k2, k11, k12, k22 = _k_derivs(speed.family, float(speed.alpha), float(r.r1), float(r.r2))
+    lhs = 2 * k1 * k2 * (k1 + k2)
+    kvv = k11 * k2 * k2 - 2 * k12 * k1 * k2 + k22 * k1 * k1
+    return lhs - float(r.r2 - r.r1) * abs(kvv)
+
+
 def test_g_derivs_frozen():
-    gd = g_derivs(SpeedFunction("gauss_power", 2.0), RadiiPoint(1, 2))
-    assert gd.g1 == pytest.approx(oracles.GAUSS_A2_12_G["g1"], abs=1e-14)
-    assert gd.g2 == pytest.approx(oracles.GAUSS_A2_12_G["g2"], abs=1e-14)
+    r = RadiiPoint(1, 2)
+    fd = eval_f_derivs(SpeedFunction("gauss_power", 2.0), r)
+    g1, g2, *_ = _g_derivs(fd, r.r2 - r.r1)
+    assert g1 == pytest.approx(oracles.GAUSS_A2_12_G["g1"], abs=1e-14)
+    assert g2 == pytest.approx(oracles.GAUSS_A2_12_G["g2"], abs=1e-14)
 
 
 def test_g_derivs_umbilic_limit():
     # as r2 -> r1+, the (r2-r1) terms vanish: g1 -> f, g2 -> -f
     speed = SpeedFunction("mean_power", 3.0)
     r = RadiiPoint(1.0, 1.0 + 1e-9)
-    gd = g_derivs(speed, r)
     fd = eval_f_derivs(speed, r)
-    assert gd.g1 == pytest.approx(fd.f, rel=1e-7)
-    assert gd.g2 == pytest.approx(-fd.f, rel=1e-7)
+    g1, g2, *_ = _g_derivs(fd, r.r2 - r.r1)
+    assert g1 == pytest.approx(fd.f, rel=1e-7)
+    assert g2 == pytest.approx(-fd.f, rel=1e-7)
 
 
 def test_umbilic_rejected():
-    for op in (g_derivs, zero_order_term, gradient_terms_general):
+    for op in (zero_order_term, convexity_condition, gradient_terms_general):
         with pytest.raises(UmbilicError):
             op(SpeedFunction("gauss_power", 2.0), RadiiPoint(2, 2))
     with pytest.raises(UmbilicError):
@@ -151,10 +175,13 @@ def test_closed_scalar_matches_arrays(alpha):
 
 def test_numerator_coeffs_against_oracle():
     for alpha in (Fraction(1, 2), Fraction(1), Fraction(3, 2), Fraction(2), Fraction(7, 3)):
-        assert closed_numerator_coeffs(alpha) == oracles.numerator_coeffs_oracle(alpha)
+        assert closed_coeffs(alpha) == oracles.numerator_coeffs_oracle(alpha)
+        # the second numerator is the t^5-reversal of the first
+        _, n1, n2 = _closed_numerator_ints(alpha)
+        assert n2 == n1[::-1] + [0, 0]
     # the four coefficients always sum to -8 (value at t = 1)
     for alpha in (Fraction(1, 7), Fraction(5, 3), Fraction(11, 2), Fraction(42)):
-        assert sum(closed_numerator_coeffs(alpha)) == -8
+        assert sum(closed_coeffs(alpha)) == -8
 
 
 @pytest.mark.parametrize("grid", ["closed_agreement", "dyadic_2^-40"])
@@ -168,7 +195,7 @@ def test_gauss_column_coefficients_bit_equal(grid):
         alphas = np.random.default_rng(0).integers(1, 12 * 2**40, 500) / 2**40
     n1, n2 = _closed_numerator_columns(alphas[:, None])
     for i, alpha in enumerate(alphas):
-        exact = closed_numerator_coeffs(float(alpha))
+        exact = oracles.numerator_coeffs_oracle(float(alpha))
         assert [float(c[i, 0]).hex() for c in n1] == [float(c).hex() for c in exact]
         assert [float(c[i, 0]).hex() for c in n2[:4]] == [float(c).hex() for c in exact[::-1]]
     assert len(n2) == 6 and not np.any(n2[4:])
@@ -178,7 +205,7 @@ def test_numerators_quadratic_in_alpha():
     # third difference in alpha of each coefficient vanishes exactly
     h = Fraction(3, 7)
     for base in (Fraction(1, 2), Fraction(2), Fraction(9, 4)):
-        rows = [closed_numerator_coeffs(base + k * h) for k in range(4)]
+        rows = [closed_coeffs(base + k * h) for k in range(4)]
         for j in range(4):
             third = rows[3][j] - 3 * rows[2][j] + 3 * rows[1][j] - rows[0][j]
             assert third == 0
@@ -189,7 +216,7 @@ def test_swap_antisymmetry_exact():
     # exactly, N2(t) = t^5 N1(1/t) and d1(1/t) t = d2(t), so the closed forms
     # satisfy Q2(r1, r2) = -Q1(r2, r1) as rational functions.
     for alpha in (Fraction(1, 2), Fraction(1), Fraction(2), Fraction(5, 2)):
-        c3, c2, c1, c0 = closed_numerator_coeffs(alpha)
+        c3, c2, c1, c0 = closed_coeffs(alpha)
         n1 = lambda t: c3 * t**3 + c2 * t**2 + c1 * t + c0
         for t in (Fraction(3, 2), Fraction(2), Fraction(17, 5), Fraction(100)):
             assert t**5 * n1(1 / t) == c0 * t**5 + c1 * t**4 + c2 * t**3 + c3 * t**2
@@ -240,16 +267,6 @@ def test_convexity_frozen():
 @given(ordered_radii_st, alpha_st)
 def test_convexity_nonnegative_gauss(r, alpha):
     assert convexity_condition(SpeedFunction("gauss_power", alpha), r) >= 0
-
-
-def test_pinching_quantity_frozen():
-    assert pinching_quantity(RadiiPoint(3, 3), 1.7) == 0.0
-    assert pinching_quantity(RadiiPoint(1, 2), 2.0) == pytest.approx(
-        oracles.PINCH_12_A2
-    )
-    assert pinching_quantity(RadiiPoint(2, 4), 1.0) == pytest.approx(
-        oracles.PINCH_24_A1
-    )
 
 
 @settings(derandomize=True, deadline=None, max_examples=200)

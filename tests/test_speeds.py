@@ -12,12 +12,10 @@ from pinchflow import (
     DomainError,
     RadiiPoint,
     SpeedFunction,
-    eval_f,
     eval_f_derivs,
-    eval_k_derivs,
 )
 from pinchflow.identities import _ScalarPow
-from pinchflow.speeds import _f_derivs
+from pinchflow.speeds import _f_derivs, _k_derivs
 
 import oracles
 
@@ -30,17 +28,22 @@ alpha_st = st.floats(0.5, 10.0)
 family_st = st.sampled_from(FAMILIES)
 
 
+def k_derivs(speed, r):
+    """(k, k1, k2, k11, k12, k22) at one point, floats."""
+    return _k_derivs(speed.family, float(speed.alpha), float(r.r1), float(r.r2))
+
+
 def test_eval_f_frozen():
-    assert eval_f(SpeedFunction("gauss_power", 2.0), RadiiPoint(1, 1)) == -1.0
-    assert eval_f(SpeedFunction("gauss_power", 1.0), RadiiPoint(1, 4)) == -0.5
-    assert eval_f(SpeedFunction("mean_power", 1.0), RadiiPoint(1, 1)) == -2.0
+    assert eval_f_derivs(SpeedFunction("gauss_power", 2.0), RadiiPoint(1, 1)).f == -1.0
+    assert eval_f_derivs(SpeedFunction("gauss_power", 1.0), RadiiPoint(1, 4)).f == -0.5
+    assert eval_f_derivs(SpeedFunction("mean_power", 1.0), RadiiPoint(1, 1)).f == -2.0
 
 
 def test_eval_f_matches_curvature_definition():
     for fam in FAMILIES:
         for alpha in ALPHAS:
             for r1, r2 in ((0.3, 0.9), (1.0, 2.0), (4.0, 11.0)):
-                got = eval_f(SpeedFunction(fam, alpha), RadiiPoint(r1, r2))
+                got = eval_f_derivs(SpeedFunction(fam, alpha), RadiiPoint(r1, r2)).f
                 want = oracles.speed_value(fam, alpha, r1, r2)
                 assert got == pytest.approx(want, rel=1e-13)
                 assert got < 0
@@ -68,15 +71,15 @@ def test_f_derivs_scalar_pow_arrays_match_points():
 
 
 def test_k_derivs_frozen():
-    kd = eval_k_derivs(SpeedFunction("gauss_power", 1.0), RadiiPoint(1, 4))
-    assert (kd.k, kd.k1, kd.k2) == pytest.approx(oracles.K_GAUSS_14, rel=1e-14)
+    kd = k_derivs(SpeedFunction("gauss_power", 1.0), RadiiPoint(1, 4))
+    assert kd[:3] == pytest.approx(oracles.K_GAUSS_14, rel=1e-14)
     for c in (0.3, 1.0, 7.0):
-        kd = eval_k_derivs(SpeedFunction("gauss_power", 2.0), RadiiPoint(c, c))
-        assert kd.k == pytest.approx(c, rel=1e-14)
-        assert kd.k1 == pytest.approx(0.5, rel=1e-14)
-        assert kd.k2 == pytest.approx(0.5, rel=1e-14)
-    kd = eval_k_derivs(SpeedFunction("mean_power", 1.0), RadiiPoint(1, 1))
-    assert kd.k == pytest.approx(oracles.K_MEAN_11, rel=1e-14)
+        k, k1, k2, *_ = k_derivs(SpeedFunction("gauss_power", 2.0), RadiiPoint(c, c))
+        assert k == pytest.approx(c, rel=1e-14)
+        assert k1 == pytest.approx(0.5, rel=1e-14)
+        assert k2 == pytest.approx(0.5, rel=1e-14)
+    k = k_derivs(SpeedFunction("mean_power", 1.0), RadiiPoint(1, 1))[0]
+    assert k == pytest.approx(oracles.K_MEAN_11, rel=1e-14)
 
 
 def test_derivatives_match_finite_differences():
@@ -115,8 +118,8 @@ def test_derivatives_match_sympy_exactly():
 @given(family_st, alpha_st, radii_st, st.floats(0.01, 100.0))
 def test_homogeneity(family, alpha, r, lam):
     speed = SpeedFunction(family, alpha)
-    f = eval_f(speed, r)
-    fs = eval_f(speed, RadiiPoint(lam * r.r1, lam * r.r2))
+    f = eval_f_derivs(speed, r).f
+    fs = eval_f_derivs(speed, RadiiPoint(lam * r.r1, lam * r.r2)).f
     assert abs(fs - lam ** (-alpha) * f) <= 1e-12 * abs(f) * lam ** (-alpha)
 
 
@@ -125,10 +128,10 @@ def test_homogeneity(family, alpha, r, lam):
 def test_euler_identities(family, alpha, r):
     speed = SpeedFunction(family, alpha)
     fd = eval_f_derivs(speed, r)
-    kd = eval_k_derivs(speed, r)
+    k, k1, k2, *_ = k_derivs(speed, r)
     # f has degree -alpha, k degree 1
     assert fd.f1 * r.r1 + fd.f2 * r.r2 == pytest.approx(-alpha * fd.f, rel=1e-12)
-    assert kd.k1 * r.r1 + kd.k2 * r.r2 == pytest.approx(kd.k, rel=1e-12)
+    assert k1 * r.r1 + k2 * r.r2 == pytest.approx(k, rel=1e-12)
 
 
 @settings(derandomize=True, deadline=None, max_examples=200)
@@ -137,18 +140,18 @@ def test_f_from_k_composition(family, alpha, r):
     # fdot = alpha k^-(1+alpha) kdot; fddot per the chain rule
     speed = SpeedFunction(family, alpha)
     fd = eval_f_derivs(speed, r)
-    kd = eval_k_derivs(speed, r)
-    ka = kd.k ** (-alpha)
+    k, k1, k2, k11, k12, k22 = k_derivs(speed, r)
+    ka = k ** (-alpha)
     scale1 = abs(fd.f1) + abs(fd.f2)
-    for got, kdot in ((fd.f1, kd.k1), (fd.f2, kd.k2)):
-        assert abs(got - alpha * ka / kd.k * kdot) <= 1e-12 * scale1
-    c2 = -alpha * (1 + alpha) * ka / kd.k**2
-    c1 = alpha * ka / kd.k
+    for got, kdot in ((fd.f1, k1), (fd.f2, k2)):
+        assert abs(got - alpha * ka / k * kdot) <= 1e-12 * scale1
+    c2 = -alpha * (1 + alpha) * ka / k**2
+    c1 = alpha * ka / k
     scale2 = abs(fd.f11) + abs(fd.f12) + abs(fd.f22) + 1e-300
     for got, kdi, kdj, kddot in (
-        (fd.f11, kd.k1, kd.k1, kd.k11),
-        (fd.f12, kd.k1, kd.k2, kd.k12),
-        (fd.f22, kd.k2, kd.k2, kd.k22),
+        (fd.f11, k1, k1, k11),
+        (fd.f12, k1, k2, k12),
+        (fd.f22, k2, k2, k22),
     ):
         assert abs(got - (c2 * kdi * kdj + c1 * kddot)) <= 1e-12 * scale2
 
@@ -175,15 +178,13 @@ def test_sum_power_k_consistency():
         speed = SpeedFunction("sum_power", alpha)
         for r1, r2 in ((0.3, 2.7), (1.0, 5.0)):
             f = oracles.speed_value("sum_power", alpha, r1, r2)
-            kd = eval_k_derivs(speed, RadiiPoint(r1, r2))
-            assert kd.k == pytest.approx((-f) ** (-1.0 / alpha), rel=1e-13)
+            k = k_derivs(speed, RadiiPoint(r1, r2))[0]
+            assert k == pytest.approx((-f) ** (-1.0 / alpha), rel=1e-13)
 
 
 def test_domain_errors():
     speed = SpeedFunction("gauss_power", 2.0)
     for bad in ((0.0, 1.0), (1.0, -2.0), (-1.0, -1.0)):
-        with pytest.raises(DomainError):
-            eval_f(speed, RadiiPoint(*bad))
         with pytest.raises(DomainError):
             eval_f_derivs(speed, RadiiPoint(*bad))
     with pytest.raises((DomainError, ValueError)):
@@ -195,9 +196,7 @@ def test_domain_errors():
 def test_k_derivs_orders_are_prefixes_of_order_two():
     # the flow asks for order 0 or 1; each must give the bits of order 2's
     # prefix, on arrays through both sides of sum_power's max/min and on the
-    # diagonal, and on plain float scalars (the eval_f path)
-    from pinchflow.speeds import _k_derivs
-
+    # diagonal, and on plain float scalars (the sphere law's path)
     r1 = np.array([0.3, 2.0, 1.25, 7.0, 0.05, 4.0])
     r2 = np.array([0.9, 0.5, 1.25, 7.0, 3.0, 1e-3])
     for fam in FAMILIES:
