@@ -5,6 +5,11 @@ threshold search) and the axisymmetric flow as reproducible commands that
 emit canonical JSON reports and CSV traces.  Exit codes: 0 success,
 1 property violation, 2 configuration error, 3 numerical failure
 (convexity loss or an inconclusive certificate).
+
+Each command is declared once, in `_COMMANDS`, whose parameter tables give
+the flags, the config-file keys and the coercion.  A handler returns its
+exit code and files, and `main` writes them (`_write`) once it is done, so a
+command that raises writes nothing; a sweep's runs write their own.
 """
 
 import argparse
@@ -32,18 +37,7 @@ EXIT_VIOLATION = 1
 EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
 
-# Each command's parameters, name -> type.  The flags (--t-max for t_max), the
-# config-file keys and the coercion all come from these tables; defaults and
-# range checks belong to the library functions the commands call.
-_IDENTITY_FIELDS = {"draws": int, "seed": int}
-_QSIGN_FIELDS = {"family": str, "alpha": float, "t_max": float}
-_THRESHOLD_FIELDS = {
-    "family": str,
-    "alpha_lo": float,
-    "alpha_hi": float,
-    "tol": float,
-    "t_max": float,
-}
+# The flow's parameter table, also the one a sweep coerces each run by.
 _FLOW_FIELDS = {f.name: f.type for f in fields(flowmod.FlowConfig)}
 
 
@@ -94,10 +88,18 @@ def _require(params, key):
     return params.pop(key)
 
 
-def _ensure_out(out):
-    if out:
-        os.makedirs(out, exist_ok=True)
-    return out
+def _write(out, files):
+    """Make the directory `out` and write each file into it: a `.csv` name
+    takes trace records, any other a JSON report.  No `out`, no files."""
+    if not out:
+        return
+    os.makedirs(out, exist_ok=True)
+    for name, payload in files.items():
+        path = os.path.join(out, name)
+        if name.endswith(".csv"):
+            reports.write_trace_csv(path, flowmod.TRACE_COLUMNS, payload)
+        else:
+            reports.write_report(path, payload)
 
 
 # ---------------------------------------------------------------------------
@@ -105,22 +107,14 @@ def _ensure_out(out):
 
 
 def cmd_verify_identities(args):
-    params = _params(args)
-    if params.get("draws", 1) <= 0:
-        raise ConfigError("field 'draws': must be positive")
-    if params.get("seed", 0) < 0:
-        raise ConfigError("field 'seed': must be non-negative")
-    out = _ensure_out(args.out)
-    result = identities.run_all(**params)
+    result = identities.run_all(**_params(args))
     for suite in result["suites"]:
         status = "ok" if suite["pass"] else "EXCEEDED"
         print(
             f"{suite['suite']}: worst {suite['worst_ratio']:.3e}"
             f"  bound {suite['bound']:.0e}  {status}"
         )
-    if out:
-        reports.write_report(os.path.join(out, "identities.json"), result)
-    return EXIT_OK if result["pass"] else EXIT_VIOLATION
+    return (EXIT_OK if result["pass"] else EXIT_VIOLATION), {"identities.json": result}
 
 
 # ---------------------------------------------------------------------------
@@ -136,14 +130,8 @@ def cmd_q_sign(args):
     if report.verdict == "violated":
         line += f"  witness t={report.witness_t:.6g} q={report.witness_q:.3e}"
     print(line)
-    out = _ensure_out(args.out)
-    if out:
-        reports.write_report(os.path.join(out, "qsign.json"), report)
-    if report.verdict == "violated":
-        return EXIT_VIOLATION
-    if report.verdict == "inconclusive":
-        return EXIT_NUMERIC
-    return EXIT_OK
+    exits = {"violated": EXIT_VIOLATION, "inconclusive": EXIT_NUMERIC}
+    return exits.get(report.verdict, EXIT_OK), {"qsign.json": report}
 
 
 # ---------------------------------------------------------------------------
@@ -160,10 +148,7 @@ def cmd_threshold(args):
         f"{family}: threshold in [{result.alpha_lo:.6g}, {result.alpha_hi:.6g}]"
         f"  midpoint {mid:.6g}  width {result.width:.3g}"
     )
-    out = _ensure_out(args.out)
-    if out:
-        reports.write_report(os.path.join(out, "threshold.json"), result)
-    return EXIT_OK
+    return EXIT_OK, {"threshold.json": result}
 
 
 # ---------------------------------------------------------------------------
@@ -171,33 +156,25 @@ def cmd_threshold(args):
 
 
 def _flow_config(params):
-    family = _require(params, "family")
-    alpha = _require(params, "alpha")
-    try:
-        return flowmod.FlowConfig(family, alpha, **params)
-    except (ValueError, TypeError) as err:
-        raise ConfigError(str(err))
+    family, alpha = _require(params, "family"), _require(params, "alpha")
+    return flowmod.FlowConfig(family, alpha, **params)
 
 
-def _run_flow(config, out):
+def _run_flow(config):
+    """One flow's exit code and files (on a convexity loss, the partial trace)."""
     try:
         trace = flowmod.run(config)
         code = EXIT_OK
     except ConvexityLossError as err:
         trace = err.trace
         code = EXIT_NUMERIC
-    summary = trace.summary_dict()
-    if out:
-        path = os.path.join(out, "trace.csv")
-        reports.write_trace_csv(path, flowmod.TRACE_COLUMNS, trace.records)
-        reports.write_report(os.path.join(out, "summary.json"), summary)
-    return code, summary
+    return code, {"trace.csv": trace.records, "summary.json": trace.summary_dict()}
 
 
 def cmd_flow(args):
     config = _flow_config(_params(args))
-    out = _ensure_out(args.out)
-    code, summary = _run_flow(config, out)
+    code, files = _run_flow(config)
+    summary = files["summary.json"]
     mono = summary["monotonicity"]["monotone"]
     print(
         f"{config.family} alpha={config.alpha:g} a={config.a:g} b={config.b:g}:"
@@ -211,7 +188,7 @@ def cmd_flow(args):
         "  monotone: "
         + "  ".join(f"{k}={'yes' if v else 'NO'}" for k, v in mono.items())
     )
-    return code
+    return code, files
 
 
 # ---------------------------------------------------------------------------
@@ -248,13 +225,11 @@ def _expand_sweep(doc):
 
 
 def _sweep_worker(item):
-    index, config, out = item
-    run_dir = None
-    if out:
-        run_dir = os.path.join(out, f"run_{index:03d}")
-        os.makedirs(run_dir, exist_ok=True)
-    code, summary = _run_flow(config, run_dir)
-    return index, code, summary
+    """One sweep run, written to its own directory so a pool writes in parallel."""
+    config, run_dir = item
+    code, files = _run_flow(config)
+    _write(run_dir, files)
+    return code, files["summary.json"]
 
 
 def cmd_sweep(args):
@@ -267,49 +242,56 @@ def cmd_sweep(args):
     configs = [
         _flow_config(_coerce(entry, _FLOW_FIELDS)) for entry in _expand_sweep(doc)
     ]
-    out = _ensure_out(args.out)
-    items = [(i, c, out) for i, c in enumerate(configs)]
+    items = [
+        (c, args.out and os.path.join(args.out, f"run_{i:03d}"))
+        for i, c in enumerate(configs)
+    ]
     if workers == 1 or len(items) <= 1:
         results = [_sweep_worker(item) for item in items]
     else:
         # a forked pool starts all its workers at the first submit
         with ProcessPoolExecutor(max_workers=min(workers, len(items))) as pool:
             results = list(pool.map(_sweep_worker, items))
-    # worker count deliberately left out: reports must not depend on it
-    combined = {
-        "runs": [summary for _, _, summary in results],
-        "exit_codes": [code for _, code, _ in results],
-    }
-    for index, code, summary in results:
+    codes = [code for code, _ in results]
+    for index, (code, summary) in enumerate(results):
         cfg = summary["config"]
         print(
             f"run {index:03d}: {cfg['family']} alpha={cfg['alpha']:g}"
             f" a={cfg['a']:g} b={cfg['b']:g} status={summary['status']}"
             f" exit={code}"
         )
-    if out:
-        reports.write_report(os.path.join(out, "sweep.json"), combined)
-    return max(combined["exit_codes"], default=EXIT_OK)
+    # worker count deliberately left out: reports must not depend on it
+    combined = {"runs": [summary for _, summary in results], "exit_codes": codes}
+    return max(codes, default=EXIT_OK), {"sweep.json": combined}
 
 
 # ---------------------------------------------------------------------------
 # parser
 
-
-def _add_command(subs, name, func, table, help):
-    """A subcommand with one flag per table field plus --config and --out."""
-    p = subs.add_parser(name, help=help)
-    for key, kind in table.items():
-        p.add_argument(
-            "--" + key.replace("_", "-"),
-            dest=key,
-            type=kind,
-            choices=FAMILIES if key == "family" else None,
-        )
-    p.add_argument("--config", help="JSON file supplying any of this command's fields")
-    p.add_argument("--out", help="directory for report files")
-    p.set_defaults(func=func, table=table)
-    return p
+# name -> (handler, parameter table, help).  A table maps each parameter to
+# its type; the flags (--t-max for t_max), the config-file keys and the
+# coercion all come from it, and defaults and range checks from the library.
+# A handler returns (exit code, {file name: report}).  A sweep coerces each
+# of its runs by the flow's table; its --workers follows --config and --out.
+_COMMANDS = {
+    "verify-identities": (
+        cmd_verify_identities,
+        {"draws": int, "seed": int},
+        "randomized identity suites (status 1 on any exceed)",
+    ),
+    "q-sign": (
+        cmd_q_sign,
+        {"family": str, "alpha": float, "t_max": float},
+        "certify Q1, Q2 <= 0 over the ratio ray",
+    ),
+    "threshold": (
+        cmd_threshold,
+        {"family": str, "alpha_lo": float, "alpha_hi": float, "tol": float, "t_max": float},
+        "bisect the largest certifiable exponent",
+    ),
+    "flow": (cmd_flow, _FLOW_FIELDS, "integrate the axisymmetric support-function flow"),
+    "sweep": (cmd_sweep, {}, "run a batch of flows on a worker pool"),
+}
 
 
 def build_parser():
@@ -318,51 +300,34 @@ def build_parser():
         description="sign certificates and axisymmetric flows for homogeneous curvature speeds",
     )
     subs = parser.add_subparsers(dest="command", required=True)
-    _add_command(
-        subs,
-        "verify-identities",
-        cmd_verify_identities,
-        _IDENTITY_FIELDS,
-        help="randomized identity suites (status 1 on any exceed)",
-    )
-    _add_command(
-        subs,
-        "q-sign",
-        cmd_q_sign,
-        _QSIGN_FIELDS,
-        help="certify Q1, Q2 <= 0 over the ratio ray",
-    )
-    _add_command(
-        subs,
-        "threshold",
-        cmd_threshold,
-        _THRESHOLD_FIELDS,
-        help="bisect the largest certifiable exponent",
-    )
-    _add_command(
-        subs,
-        "flow",
-        cmd_flow,
-        _FLOW_FIELDS,
-        help="integrate the axisymmetric support-function flow",
-    )
-    p = _add_command(
-        subs, "sweep", cmd_sweep, {}, help="run a batch of flows on a worker pool"
-    )
-    p.add_argument("--workers", type=int)
+    for name, (func, table, help) in _COMMANDS.items():
+        p = subs.add_parser(name, help=help)
+        for key, kind in table.items():
+            p.add_argument(
+                "--" + key.replace("_", "-"),
+                dest=key,
+                type=kind,
+                choices=FAMILIES if key == "family" else None,
+            )
+        p.add_argument("--config", help="JSON file supplying any of this command's fields")
+        p.add_argument("--out", help="directory for report files")
+        p.set_defaults(func=func, table=table)
+    subs.choices["sweep"].add_argument("--workers", type=int)
     return parser
 
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code, files = args.func(args)
     except (ConfigError, BracketError, DomainError, ResolutionError) as err:
         print(f"config error: {err}", file=sys.stderr)
         return EXIT_CONFIG
     except SignBudgetError as err:
         print(f"numeric error: {err}", file=sys.stderr)
         return EXIT_NUMERIC
+    _write(args.out, files)
+    return code
 
 
 if __name__ == "__main__":  # pragma: no cover

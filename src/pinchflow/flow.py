@@ -22,7 +22,8 @@ Three kernels make up the stepper.  `_rate_and_cap` gives the rate
 `_step_dt` turns them into the step, a fixed fraction `_EPS` (0.008) of
 the remaining shrinking-sphere lifetime but never less than the explicit
 parabolic step `_FLOOR` * dtheta^2 / cap; `_rkc` takes the step in as many
-stages as `_stage_count` asks for, or rejects it (the caller halves dt).
+stages as `_stage_count` asks for (`_attempt`, every try of a step, calls
+both), or rejects it (the caller halves dt).
 `_rkc` steps w = (s / max s)^(alpha + 1) rather than s: on a shrinking
 sphere w falls linearly in t, where every Runge-Kutta method is exact, so
 a round start follows its radius law to rounding and the step's error
@@ -125,9 +126,6 @@ _MAX_STAGES = 1000
 # overflows still warns.
 _QUIET = dict(over="ignore", invalid="ignore")
 
-# Capacity of `run`'s (t, a0) sample arrays before their first doubling.
-_SAMPLES = 256
-
 # A recorded column counts as monotone in `FlowTrace.summary_dict` when its
 # `pinching_drift` is at most this.
 MONOTONE_TOL = 1e-3
@@ -184,6 +182,9 @@ class SupportProfile:
 
     def __post_init__(self):
         self.s = np.asarray(self.s, dtype=float)
+        self.time = float(self.time)
+        if not math.isfinite(self.time):
+            raise DomainError(f"time must be finite, got {self.time}")
         if self.s.ndim != 1:
             raise DomainError("support function must be a 1-d array")
         _grid(self.s.size)  # validates the node count
@@ -354,6 +355,14 @@ def _rkc_coefficients(n_stages):
     return b[1] * w1, tuple(stages)
 
 
+def _attempt(family, alpha, s, rate0, cap, dt, g):
+    """One try of a step of dt: the stage count `_stage_count` gives for dt
+    and the `_rkc` step in that many stages (None when rejected).  `run`'s
+    halvings, its landing step and `step` all take their steps here."""
+    n_stages = _stage_count(dt, cap, g.d)
+    return n_stages, _rkc(family, alpha, s, rate0, dt, n_stages, g)
+
+
 def _rkc(family, alpha, s, rate0, dt, n_stages, g):
     """One RKC step of dt in n_stages stages from s, whose rate is rate0,
     taken in w = (s / c)^(alpha + 1), c = max s.  A stage takes the radii
@@ -412,10 +421,9 @@ def radii_from_support(profile) -> RadiiField:
 
 
 def step(profile, speed, dt) -> SupportProfile:
-    """One RKC step of dt, the one `run` takes, in the stage count
-    `_stage_count` gives for dt.  dt = 0 returns a copy; negative/non-finite
-    dt, or a step that loses positivity or convexity, is rejected (the
-    caller halves dt)."""
+    """One RKC step of dt, the one `run` takes, through the same `_attempt`.
+    dt = 0 returns a copy; negative/non-finite dt, or a step that loses
+    positivity or convexity, is rejected (the caller halves dt)."""
     if not (math.isfinite(dt) and dt >= 0):
         raise StepRejectedError(f"bad time step {dt}")
     if dt == 0.0:
@@ -428,8 +436,7 @@ def step(profile, speed, dt) -> SupportProfile:
     if _convex(r1, r2):
         with np.errstate(**_QUIET):
             rate0, cap = _rate_and_cap(family, alpha, r1, r2)
-            n_stages = _stage_count(dt, cap, g.d)
-            out = _rkc(family, alpha, profile.s, rate0, dt, n_stages, g)
+            out = _attempt(family, alpha, profile.s, rate0, cap, dt, g)[1]
     if out is None:
         raise StepRejectedError(
             f"step to t={t_new} rejected: convexity or positivity lost"
@@ -606,11 +613,6 @@ class FlowTrace:
         return out
 
 
-def _doubled(x):
-    """x followed by as many unset slots."""
-    return np.concatenate((x, np.empty_like(x)))
-
-
 def _flush(records, pending, g, speed):
     """Append the FlowRecords of the pending (n, t, dt, s, r1, r2, diff)
     entries, stacked into one block for one `_diagnose` call, and empty
@@ -627,11 +629,11 @@ def _flush(records, pending, g, speed):
 def run(config: FlowConfig, profile=None) -> FlowTrace:
     """Integrate until the minimum support reaches stop_fraction of its
     initial value (or max_steps).  Each step starts from the `adaptive_dt`
-    step and takes the `step` RKC update through the same kernels, halving
-    dt (and so recounting stages) on rejection.  The step that crosses the
-    target is taken again, shortened by one secant step in dt so that the
-    minimum support lands on the target; if the short step is rejected, the
-    full one stands.  The loop carries bare arrays on the profile's grid,
+    step and takes the `step` RKC update through the same `_attempt`, the
+    one path of every try, halving dt on rejection.  The step that crosses
+    the target is taken again, shortened by one secant step in dt so that
+    the minimum support lands on the target; if the short step is rejected,
+    the full one stands.  The loop carries bare arrays on the profile's grid,
     since a SupportProfile per step would re-validate s; the arrays `_rkc`
     returns feed both the next step and the records, which are rows of the
     trace CSV.  Every step also keeps (t, a0), a0 the l = 0 amplitude of s
@@ -659,16 +661,15 @@ def run(config: FlowConfig, profile=None) -> FlowTrace:
 
     records = []
     pending = []  # (n, t, dt, s, r1, r2, diff) of records not yet built
-    t = float(profile.time)
+    t = profile.time
     n = stages = rejected = 0
     dt = dt_max = 0.0
     dt_min = math.inf
     s = profile.s
     s0_min = m = float(s.min())
     target = config.stop_fraction * s0_min
-    # (t, a0) at the start and after each step, in arrays doubled when full
-    ts, a0s = np.empty(_SAMPLES), np.empty(_SAMPLES)
-    ts[0], a0s[0] = t, np.add.reduce(g.a0 * s)
+    # (t, a0) at the start and after each step
+    ts, a0s = [t], [np.add.reduce(g.a0 * s)]
     status = error = None
     try:
         r1, r2, diff = _convex_radii(s, g)
@@ -682,9 +683,8 @@ def run(config: FlowConfig, profile=None) -> FlowTrace:
             rate0, cap = _rate_and_cap(fam, alpha, r1, r2)
             dt = _step_dt(s, rate0, cap, g.d, alpha)
             for _ in range(8):
-                n_stages = _stage_count(dt, cap, g.d)
+                n_stages, out = _attempt(fam, alpha, s, rate0, cap, dt, g)
                 stages += n_stages
-                out = _rkc(fam, alpha, s, rate0, dt, n_stages, g)
                 if out is not None:
                     break
                 rejected += 1
@@ -699,9 +699,8 @@ def run(config: FlowConfig, profile=None) -> FlowTrace:
             if m_new <= target:
                 status = "extinct_fraction"
                 short = dt * ((m - target) / (m - m_new))
-                n_stages = _stage_count(short, cap, g.d)
+                n_stages, landed = _attempt(fam, alpha, s, rate0, cap, short, g)
                 stages += n_stages
-                landed = _rkc(fam, alpha, s, rate0, short, n_stages, g)
                 if landed is None:
                     rejected += 1
                 else:
@@ -711,10 +710,8 @@ def run(config: FlowConfig, profile=None) -> FlowTrace:
             t += dt
             dt_min, dt_max = min(dt_min, dt), max(dt_max, dt)
             n += 1
-            if n == ts.size:
-                ts, a0s = _doubled(ts), _doubled(a0s)
-            ts[n] = t
-            a0s[n] = np.add.reduce(g.a0 * s)
+            ts.append(t)
+            a0s.append(np.add.reduce(g.a0 * s))
             if status is None and n >= config.max_steps:
                 status = "max_steps"
             if status or n % config.record_every == 0:
@@ -736,7 +733,7 @@ def run(config: FlowConfig, profile=None) -> FlowTrace:
         t_final=t,
         profile=final,
         initial_min_support=s0_min,
-        samples=(ts[: n + 1], a0s[: n + 1]),
+        samples=(np.array(ts), np.array(a0s)),
     )
     if error is not None:
         error.trace = trace

@@ -45,6 +45,7 @@ the column builds no Fraction.
 
 import numpy as np
 
+from .errors import DomainError
 from .pinching import (
     _closed_q,
     _gradient_terms_raw,
@@ -128,6 +129,11 @@ def _draw_report(suite, draws, seed, bound, ratio, alpha, r1, r2):
     return _report(suite, bound, worst, worst_case, draws=draws, seed=seed)
 
 
+def _check_draws(draws, seed):
+    if draws < 1 or seed < 0:
+        raise DomainError(f"draws must be >= 1 and seed >= 0, got {draws} and {seed}")
+
+
 def _z_ratio(family, alpha, r1, r2):
     fd = _f_derivs(family, alpha, r1, r2)
     f, f1, f2 = fd[:3]
@@ -138,8 +144,9 @@ def _z_ratio(family, alpha, r1, r2):
 def z_residual_suite(draws=10000, seed=0):
     """|Z| <= 1e-12 x (|f| + f1 r1 + f2 r2)(f1 + f2)(r2 - r1) over random
     (family, alpha, radii) draws."""
+    _check_draws(draws, seed)
     rng = np.random.default_rng(seed)
-    alpha, r1, r2 = _scaled(rng.random((max(draws, 0), 3)).view(_ScalarPow))
+    alpha, r1, r2 = _scaled(rng.random((draws, 3)).view(_ScalarPow))
     ratio = _by_family(_z_ratio, alpha, r1, r2)
     return _draw_report("zero_order", draws, seed, Z_BOUND, ratio, alpha, r1, r2)
 
@@ -217,6 +224,7 @@ def _reduction_rows(draws, seed):
 def reduction_suite(draws=1000, seed=0):
     """Full quadratic form minus (Q1 T1^2 + Q2 T2^2), relative to
     max(|Q1 T1^2|, |Q2 T2^2|, 1), over random draws."""
+    _check_draws(draws, seed)
     u = _reduction_rows(draws, seed).view(_ScalarPow)
     alpha, r1, r2 = _scaled(u)
     t1, t2 = u[:, 3:5].T * 10.0 ** (-2 + 4 * u[:, 5])

@@ -445,15 +445,15 @@ def test_flow_rejects_infinite_semi_axes(tmp_path, capsys):
     assert "semi-axis a must be finite" in capsys.readouterr().err
     assert not out.exists()
     # finite semi-axes whose speed leaves the float range: the diffusion cap
-    # overflows to inf or underflows to 0 at the first step (without --out,
-    # since the output directory is made before the flow runs); the flow
-    # silences the overflow, so no warning comes before the message
+    # overflows to inf or underflows to 0 at the first step, which leaves no
+    # --out directory behind; the flow silences the overflow, so no warning
+    # comes before the message
     for alpha, a, b, cap in (
         ("1", "1e-160", "2e-160", "inf"),
         ("10", "2e40", "1e40", "0.0"),
         ("10", "2e-40", "1e-40", "inf"),
     ):
-        argv = ("flow", "--family", "gauss_power", "--n-nodes", "33")
+        argv = ("flow", "--family", "gauss_power", "--n-nodes", "33", "--out", str(out))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert invoke(*argv, "--alpha", alpha, "--a", a, "--b", b) == 2
@@ -461,6 +461,7 @@ def test_flow_rejects_infinite_semi_axes(tmp_path, capsys):
             f"speed out of the float range: diffusion cap {cap} is not finite"
             " and positive"
         )
+        assert not out.exists()
 
 
 def test_flow_spectral_bound_overflow_exits_2(capsys):
@@ -469,6 +470,27 @@ def test_flow_spectral_bound_overflow_exits_2(capsys):
     argv = ("flow", "--family", "gauss_power", "--alpha", "10", "--n-nodes", "33")
     assert invoke(*argv, "--a", "1e-27", "--b", "5e-28") == 2
     assert "speed out of the float range" in capsys.readouterr().err
+
+
+def test_failed_command_writes_nothing(tmp_path, capsys):
+    # the spectral bound overflows late in the flow, after many steps: the
+    # command still makes no --out directory, and a sweep keeps the files of
+    # the runs that finished before the failing one but writes no sweep.json
+    out = tmp_path / "never"
+    argv = ("flow", "--family", "gauss_power", "--alpha", "10", "--n-nodes", "33")
+    assert invoke(*argv, "--a", "1e-27", "--b", "5e-28", "--out", str(out)) == 2
+    assert capsys.readouterr().err.startswith("config error:")
+    assert not out.exists()
+    base = {"family": "gauss_power", "n_nodes": 33, "stop_fraction": 0.2}
+    runs = [{"alpha": 1.0}, {"alpha": 10.0, "a": 1e-27, "b": 5e-28}]
+    cfg = sweep_config(tmp_path, {"base": base, "runs": runs})
+    out = tmp_path / "sweep"
+    assert invoke("sweep", "--config", cfg, "--workers", "1", "--out", str(out)) == 2
+    assert sorted(p.name for p in out.iterdir()) == ["run_000"]
+    assert sorted(p.name for p in (out / "run_000").iterdir()) == [
+        "summary.json",
+        "trace.csv",
+    ]
 
 
 def test_flow_below_float_range_scales(tmp_path):

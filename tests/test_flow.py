@@ -830,6 +830,9 @@ def test_infinite_inputs_rejected():
         lambda: SupportProfile(np.full(33, inf)),
         lambda: SupportProfile(np.r_[np.ones(5), inf, np.ones(27)]),
         lambda: SupportProfile(np.r_[np.ones(5), np.nan, np.ones(27)]),
+        lambda: SupportProfile(np.ones(33), np.nan),
+        lambda: SupportProfile(np.ones(33), inf),
+        lambda: SupportProfile(np.ones(33), -inf),
     ):
         with pytest.raises(DomainError):
             make()

@@ -4,11 +4,13 @@ per-alpha references."""
 import numpy as np
 import pytest
 
+from pinchflow.errors import DomainError
 from pinchflow.identities import (
     _agreement_grid,
     _reduction_rows,
     closed_agreement_suite,
     reduction_suite,
+    run_all,
     z_residual_suite,
 )
 from pinchflow.pinching import _raw_arrays, gradient_terms_general_arrays
@@ -46,14 +48,17 @@ def test_reduction_rows_match_per_scalar_draws(draws, seed):
 
 
 @pytest.mark.parametrize("draws", [0, -3])
-def test_suites_without_draws(draws):
-    for suite, reference in SUITES:
-        res = suite(draws=draws, seed=0)
-        assert res["worst_ratio"] == 0.0
-        assert res["worst_case"] is None
-        assert res["pass"] is True
-        assert res["draws"] == draws
-        assert canonical_json(res) == canonical_json(reference(draws=draws, seed=0))
+def test_suites_reject_no_draws(draws):
+    # a suite without draws would pass on nothing, and numpy rejects a
+    # negative seed with a bare ValueError
+    for suite, _ in SUITES:
+        with pytest.raises(DomainError, match="draws must be >= 1"):
+            suite(draws=draws, seed=0)
+        with pytest.raises(DomainError, match="seed >= 0"):
+            suite(draws=10, seed=-1)
+    for kwargs in ({"draws": draws}, {"seed": -1}):
+        with pytest.raises(DomainError):
+            run_all(**kwargs)
 
 
 @pytest.mark.parametrize("draws", [1, 2, 3])
