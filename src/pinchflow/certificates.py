@@ -440,9 +440,8 @@ def find_threshold(family, alpha_range, tol=0.05, t_max=1e6) -> ThresholdResult:
     hi_pass = decide(hi)
     if not lo_pass or hi_pass:
         raise BracketError(
-            f"range [{lo}, {hi}] does not bracket a verdict change",
-            lo_verdict=probes[0].verdict,
-            hi_verdict=probes[1].verdict,
+            f"range [{lo}, {hi}] does not bracket a verdict change:"
+            f" alpha {lo} is {probes[0].verdict}, alpha {hi} is {probes[1].verdict}"
         )
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)

@@ -9,7 +9,8 @@ emit canonical JSON reports and CSV traces.  Exit codes: 0 success,
 Each command is declared once, in `_COMMANDS`, whose parameter tables give
 the flags, the config-file keys and the coercion.  A handler returns its
 exit code and files, and `main` writes them (`_write`) once it is done, so a
-command that raises writes nothing; a sweep's runs write their own.
+command that raises writes nothing; a sweep's runs write their own.  An
+`--out` that cannot be a directory is a config error before any work.
 """
 
 import argparse
@@ -86,6 +87,16 @@ def _require(params, key):
     if key not in params:
         raise ConfigError(f"field {key!r}: required")
     return params.pop(key)
+
+
+def _check_out(out):
+    """Raise ConfigError when `out` is an existing non-directory or lies below
+    one, where `_write` could not make it, before any work is done."""
+    path = out
+    while path and not os.path.isdir(path):
+        if os.path.lexists(path):
+            raise ConfigError(f"field 'out': {path!r} is not a directory")
+        path = os.path.dirname(path)
 
 
 def _write(out, files):
@@ -319,6 +330,7 @@ def build_parser():
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
+        _check_out(args.out)
         code, files = args.func(args)
     except (ConfigError, BracketError, DomainError, ResolutionError) as err:
         print(f"config error: {err}", file=sys.stderr)

@@ -12,11 +12,6 @@ class UmbilicError(DomainError):
 class PoleError(DomainError):
     """A closed-form denominator factor vanishes (possible only for alpha > 2)."""
 
-    def __init__(self, message, t=None, factor=None):
-        super().__init__(message)
-        self.t = t
-        self.factor = factor
-
 
 class ResolutionError(ValueError):
     """Grid too coarse for the requested construction."""
@@ -43,11 +38,6 @@ class SignBudgetError(RuntimeError):
 
 class BracketError(ValueError):
     """Threshold search range does not bracket a verdict change."""
-
-    def __init__(self, message, lo_verdict=None, hi_verdict=None):
-        super().__init__(message)
-        self.lo_verdict = lo_verdict
-        self.hi_verdict = hi_verdict
 
 
 class ConfigError(ValueError):

@@ -1,75 +1,35 @@
 """Axisymmetric support-function flow for convex surfaces of revolution.
 
-State is the support function s(theta) on a uniform grid over [0, pi].  The
-grid and its fixed tables depend on the node count alone, so `_grid` builds
-them once per count and the kernels take the grid whole.  The principal
-radii split into a meridian radius s'' + s and a rotational radius
-cot(theta) s' + s; both collapse to s'' + s at the axis, which the even
-ghost-node reflection supplies without one-sided stencils.  That stencil
-lives in one function, `_radii`; `run` calls it once at the start and once
-per stage of every step (inside `_rkc`), and its records reuse the arrays
-of each step's last stage.
+State is the support function s(theta) on a uniform grid over [0, pi],
+whose fixed tables `_grid` builds once per node count.  The principal radii
+are the meridian radius s'' + s and the rotational radius cot(theta) s' + s;
+both are s'' + s at the axis, where the even ghost-node reflection supplies
+them without one-sided stencils (`_radii`, the one stencil).  Grids are
+mirror-symmetric bit for bit: the cotangent table and the built-in profiles
+are built on the upper half and reflected, `_radii` adds a node's two
+neighbours before anything else, and every other update is elementwise or a
+scalar reduction, so an equator-symmetric profile stays exactly symmetric
+under the flow (the acceptance checks rely on this).
 
 Time stepping is the damped second-order Runge-Kutta-Chebyshev method
-(Sommeijer, Shampine & Verwer, J. Comput. Appl. Math. 88, 1998): explicit
-stages only, with a stability interval that grows as the square of the
-stage count, so the step follows accuracy rather than the parabolic limit.
-A step of two stages, which coarse grids take, is Ralston's method (Math.
-Comp. 16, 1962), with the same stability polynomial and about half the
-error of the recurrence's two-stage step (`_rkc_coefficients`).
-Three kernels make up the stepper.  `_rate_and_cap` gives the rate
--k^(-alpha) and the cap max(df1 + df2) at the start of a step;
-`_step_dt` turns them into the step, a fixed fraction `_EPS` (0.008) of
-the remaining shrinking-sphere lifetime but never less than the explicit
-parabolic step `_FLOOR` * dtheta^2 / cap; `_rkc` takes the step in as many
-stages as `_stage_count` asks for (`_attempt`, every try of a step, calls
-both), or rejects it (the caller halves dt).
-`_rkc` steps w = (s / max s)^(alpha + 1) rather than s: on a shrinking
-sphere w falls linearly in t, where every Runge-Kutta method is exact, so
-a round start follows its radius law to rounding and the step's error
-comes from the body's departure from round alone.  The Jacobian in w is a
-diagonal similarity of the one in s, so the cap and the stage count carry
-over, and w / |dw/dt| = s / ((alpha + 1) |ds/dt|) leaves `_step_dt` as it
-is.
-They ask `speeds._k_derivs` for no more than they read: `_rate_and_cap`
-for order 1 (k, k1, k2), `_rkc`'s stage rates and `_diagnose`'s
-min |speed| for order 0 (k alone), so no second derivative is formed per
-step.  `run` loops over them on bare arrays; `step` and `adaptive_dt`
-wrap the same kernels for one SupportProfile, so iterating
-`step(p, speed, adaptive_dt(p, speed))` reproduces `run` bit for bit, in s
-and in t from the profile's own time, while no step is rejected, up to
-`run`'s last step: that one is shortened by a secant step in dt so that
-min s lands on the stop target, and no reported value depends on `_EPS`
-through where the run stops.  On these
-short arrays a step costs numpy's per-call dispatch more than arithmetic,
-so every whole-array min or max on the stepper path is one argmin or argmax
-and an index (`_min`, `_max`: argmin and argmax stop at the first NaN, so a
-NaN propagates as through `np.minimum.reduce`), and `_radii` pads s with
-one gather through the grid's pad index.
+(Sommeijer, Shampine & Verwer, J. Comput. Appl. Math. 88, 1998), whose
+stability interval grows as the square of the stage count, so the step
+follows accuracy (`_step_dt`) rather than the parabolic limit.  It steps
+w = (s / max s)^(alpha + 1) rather than s: on a shrinking sphere w falls
+linearly in t, where every Runge-Kutta method is exact, so a round start
+follows its radius law to rounding and the step's error comes from the
+body's departure from round alone.  `run` loops over the kernels on bare
+arrays; `step` and `adaptive_dt` wrap the same kernels for one profile.
 
-`_diagnose` is the one diagnostics kernel.  It takes the `_radii` arrays of
-one profile (1-d) or of a block of profiles (2-d, one per row) and reduces
-along axis=-1 only, so each row gets the bits of its profile on its own.
-`diagnostics` calls it for one profile and adds the roundness ratio.  `run`
-holds up to `_RECORD_BLOCK` pending records as references to the stepper's
-arrays, which are fresh every step, and builds them with one kernel call on
-the stacked block when the block is full and once after its loop.  A record
-is a `FlowRecord` NamedTuple whose fields are the trace CSV's columns, so a
-record is its own CSV row from the kernel to the file.
+Records are built in blocks: `run` holds up to `_RECORD_BLOCK` pending
+records as references to the stepper's arrays, fresh every step, and
+builds them with one `_diagnose` call on the stacked block, which reduces
+along the last axis only, so each row gets the bits of its profile alone.
 
-The extinction time T comes from (t, a0) at every step, not from the
-records: a0 is the l = 0 Legendre amplitude of s (the grid's a0 weights),
-the radius of a sphere wherever it sits on the axis, and it carries the
-l = 2 mode of a rounding body only at second order.  `extinction_estimate` fits
-a0^(alpha+1), linear in t on a shrinking sphere, over the last tenth of
-the steps, so T and the rescaled deviation do not depend on `record_every`.
-
-Grids are kept mirror-symmetric bit for bit: the cotangent table and the
-built-in initial profiles are constructed on the upper half and reflected,
-`_radii` adds the two neighbours of a node before anything else (addition
-commutes exactly, so mirrored nodes round alike), and every other update is
-elementwise or a scalar reduction.  So an equator-symmetric initial profile
-stays exactly symmetric under the flow (the acceptance checks rely on this).
+T is fitted on (t, a0) at every step, not on the records, so it does not
+depend on `record_every`: a0, the l = 0 Legendre amplitude of s, is the
+radius of a sphere wherever it sits on the axis, and it carries the l = 2
+mode of a rounding body only at second order.
 """
 
 import functools
@@ -205,12 +165,6 @@ class SupportProfile:
         return self.s.size
 
 
-@dataclass(frozen=True)
-class RadiiField:
-    r1: np.ndarray  # meridian principal radius s'' + s
-    r2: np.ndarray  # rotational principal radius cot * s' + s
-
-
 def sphere_support(radius, n_nodes=201):
     if not _positive(radius):
         raise DomainError(f"radius must be finite and positive, got {radius}")
@@ -234,7 +188,9 @@ def ellipsoid_support(a, b, n_nodes=201):
 
 def _min(x):
     """np.minimum.reduce(x) of a 1-d array by one argmin: the same value,
-    and NaN when x holds one (argmin stops at the first NaN)."""
+    and NaN when x holds one (argmin stops at the first NaN).  On the
+    stepper's short arrays numpy's per-call dispatch costs more than the
+    arithmetic, and an argmin and an index dispatch less than a reduce."""
     return x[x.argmin()]
 
 
@@ -284,9 +240,10 @@ def _rate_and_cap(family, alpha, r1, r2):
     """ds/dt = -k^(-alpha) and the cap max(df1 + df2), where
     df_i = alpha k^-(1+alpha) dk_i is the linearization's diffusion trace;
     the cap sizes both the step's floor and its stage count.  Needs k and
-    its first derivatives only: `_k_derivs` at order 1.  Raises DomainError
-    when the cap is not finite and positive, as when k^-(1+alpha) leaves
-    the float range: no step or stage count follows from such a cap."""
+    its first derivatives only: `_k_derivs` at order 1, so no second
+    derivative is formed per step.  Raises DomainError when the cap is not
+    finite and positive, as when k^-(1+alpha) leaves the float range: no
+    step or stage count follows from such a cap."""
     k, k1, k2 = _k_derivs(family, alpha, r1, r2, order=1)
     a = k ** (-(1.0 + alpha))
     cap = float(_max(alpha * a * (k1 + k2)))
@@ -368,12 +325,14 @@ def _rkc(family, alpha, s, rate0, dt, n_stages, g):
     taken in w = (s / c)^(alpha + 1), c = max s.  A stage takes the radii
     of u = w^(1 / (alpha + 1)) = s / c; r and k are homogeneous of degree
     one, so dw/dt = -(alpha + 1) c^-(alpha + 1) (u / k(u))^alpha, the scalar
-    folded into the stage coefficient.  Returns the new (s, r1, r2, diff)
-    as `_radii` gives them, or None when a stage loses convexity or the
-    result loses convexity or positivity (the caller halves dt), and when
-    n_stages exceeds _MAX_STAGES.  Raises DomainError when min w or
-    c^-(alpha + 1) is not a normal float.  Stage rates need k only:
-    `_k_derivs` at order 0."""
+    folded into the stage coefficient.  The Jacobian in w is a diagonal
+    similarity of the one in s, so the cap and the stage count carry over,
+    and w / |dw/dt| = s / ((alpha + 1) |ds/dt|) is what `_step_dt` reads.
+    Returns the new (s, r1, r2, diff) as `_radii` gives them, or None when
+    a stage loses convexity or the result loses convexity or positivity
+    (the caller halves dt), and when n_stages exceeds _MAX_STAGES.  Raises
+    DomainError when min w or c^-(alpha + 1) is not a normal float.  Stage
+    rates need k only: `_k_derivs` at order 0."""
     if n_stages > _MAX_STAGES:
         return None
     p = alpha + 1.0
@@ -413,15 +372,16 @@ def _rkc(family, alpha, s, rate0, dt, n_stages, g):
     return s, r1, r2, diff
 
 
-def radii_from_support(profile) -> RadiiField:
-    """Principal radii on the grid; raises ConvexityLossError when either
-    radius is nonpositive anywhere."""
-    r1, r2, _ = _convex_radii(profile.s, _grid(profile.n_nodes))
-    return RadiiField(r1=r1, r2=r2)
+def radii_from_support(profile):
+    """The principal radii (r1, r2) on the grid, meridian and rotational;
+    raises ConvexityLossError when either is nonpositive anywhere."""
+    return _convex_radii(profile.s, _grid(profile.n_nodes))[:2]
 
 
 def step(profile, speed, dt) -> SupportProfile:
-    """One RKC step of dt, the one `run` takes, through the same `_attempt`.
+    """One RKC step of dt, the one `run` takes, through the same `_attempt`:
+    iterating `step(p, speed, adaptive_dt(p, speed))` reproduces `run` bit
+    for bit while no step is rejected, up to `run`'s shortened last step.
     dt = 0 returns a copy; negative/non-finite dt, or a step that loses
     positivity or convexity, is rejected (the caller halves dt)."""
     if not (math.isfinite(dt) and dt >= 0):
@@ -447,10 +407,10 @@ def step(profile, speed, dt) -> SupportProfile:
 def adaptive_dt(profile, speed):
     """The time step `run` starts from (`_step_dt`): _EPS of the remaining
     shrinking-sphere lifetime, floored at _FLOOR * dtheta^2 / max(df1 + df2)."""
-    rf = radii_from_support(profile)
+    r1, r2 = radii_from_support(profile)
     alpha = float(speed.alpha)
     with np.errstate(**_QUIET):
-        rate0, cap = _rate_and_cap(speed.family, alpha, rf.r1, rf.r2)
+        rate0, cap = _rate_and_cap(speed.family, alpha, r1, r2)
     return _step_dt(profile.s, rate0, cap, profile.dtheta, alpha)
 
 
@@ -628,25 +588,20 @@ def _flush(records, pending, g, speed):
 
 def run(config: FlowConfig, profile=None) -> FlowTrace:
     """Integrate until the minimum support reaches stop_fraction of its
-    initial value (or max_steps).  Each step starts from the `adaptive_dt`
-    step and takes the `step` RKC update through the same `_attempt`, the
-    one path of every try, halving dt on rejection.  The step that crosses
-    the target is taken again, shortened by one secant step in dt so that
-    the minimum support lands on the target; if the short step is rejected,
-    the full one stands.  The loop carries bare arrays on the profile's grid,
-    since a SupportProfile per step would re-validate s; the arrays `_rkc`
-    returns feed both the next step and the records, which are rows of the
-    trace CSV.  Every step also keeps (t, a0), a0 the l = 0 amplitude of s
-    (the grid's a0 weights), for the extinction fit, so the fit does not
-    depend on `record_every`.  A given `profile` must have `config.n_nodes`
-    nodes; the clock starts at its `time`, as `step`'s does, and T is read
-    on that clock.
+    initial value (or max_steps), halving dt on a rejected try.  The step
+    that crosses the target is taken again, shortened by one secant step in
+    dt so that the minimum support lands on the target and no reported value
+    depends on `_EPS` through where the run stops; if the short step is
+    rejected, the full one stands.  The loop carries bare arrays, since a
+    SupportProfile per step would re-validate s.  A given `profile` must
+    have `config.n_nodes` nodes; the clock starts at its `time`, and T is
+    read on that clock.
 
-    There is one exit.  A nonconvex initial profile, or a rejection that
-    survives eight halvings, ends the loop with status "convexity_loss";
-    either way the last records are built and the one FlowTrace is made,
-    then a convexity loss is raised with that trace attached as
-    `error.trace`, and any other status goes on to the extinction fit.
+    A nonconvex initial profile, or a rejection that survives eight
+    halvings, ends the loop with status "convexity_loss", and the one
+    FlowTrace, made either way, rides on the raised ConvexityLossError as
+    `error.trace`.  At the stop fraction, T, its flag, the last record's
+    centre and the deviation rescaled about that centre go onto the trace.
     """
     alpha = float(config.alpha)
     fam = config.family
@@ -739,14 +694,10 @@ def run(config: FlowConfig, profile=None) -> FlowTrace:
         error.trace = trace
         raise error
     if status == "extinct_fraction":
-        est = extinction_estimate(trace)
-        trace.t_extinct = est.t_extinct
-        trace.extinction_center = est.center_z
-        trace.extinction_low_confidence = est.low_confidence
-        if t < est.t_extinct:
-            trace.deviation = rescale_deviation(
-                final, est.t_extinct, t, speed, q=est.center_z
-            )
+        trace.t_extinct, trace.extinction_low_confidence = extinction_estimate(trace)
+        trace.extinction_center = q = records[-1].center_z
+        if t < trace.t_extinct:
+            trace.deviation = rescale_deviation(final, trace.t_extinct, t, speed, q=q)
     return trace
 
 
@@ -763,17 +714,9 @@ def sphere_extinction_time(rho0, speed):
     return rho0**power / rate
 
 
-@dataclass(frozen=True)
-class ExtinctionEstimate:
-    t_extinct: float
-    slope: float
-    rows_used: int
-    center_z: float
-    low_confidence: bool
-
-
-def extinction_estimate(trace: FlowTrace) -> ExtinctionEstimate:
-    """Extrapolated extinction time from the trace's (t, a0) samples.
+def extinction_estimate(trace: FlowTrace):
+    """(t_extinct, low_confidence): the extinction time extrapolated from
+    the trace's (t, a0) samples, and whether the fit is to be doubted.
 
     a0^(alpha+1) falls linearly in t on a shrinking sphere about any centre
     on the axis, and on a rounding body the l = 2 mode enters a0 only at
@@ -781,8 +724,9 @@ def extinction_estimate(trace: FlowTrace) -> ExtinctionEstimate:
     the last tenth of the steps (at least 5) extrapolates to zero.  The fit
     runs on t over the magnitude of its last value and a0 over its first,
     so it holds for bodies far below or above unit size and for a clock
-    that runs at negative times.  The flag goes up when the tail is
-    too short or the fitted slope fails to be negative.
+    that runs at negative times.  The flag goes up with fewer than 5
+    samples, or when T is not past the last t, where a slope that fails to
+    be negative puts it.
     """
     alpha = float(trace.config.alpha)
     ts, a0s = trace.samples
@@ -791,26 +735,9 @@ def extinction_estimate(trace: FlowTrace) -> ExtinctionEstimate:
     t_last, a_scale = tail_t[-1], tail_a[0]
     t_scale = abs(t_last)
     x, y = tail_t / t_scale, (tail_a / a_scale) ** (alpha + 1.0)
-    low = len(ts) < 5
-    if len(x) >= 2 and np.ptp(x) > 0:
-        slope, intercept = np.polyfit(x, y, 1)
-    else:
-        slope, intercept = 0.0, float(y[-1])
-        low = True
-    if slope >= 0:
-        low = True
-        t_ext = float(t_last)
-    else:
-        t_ext = float(-intercept / slope * t_scale)
-        if t_ext <= t_last:
-            low = True
-    return ExtinctionEstimate(
-        t_extinct=t_ext,
-        slope=float(slope * a_scale ** (alpha + 1.0) / t_scale),
-        rows_used=int(len(tail_t)),
-        center_z=float(trace.records[-1].center_z),
-        low_confidence=bool(low),
-    )
+    slope, intercept = np.polyfit(x, y, 1) if np.ptp(x) > 0 else (0.0, 0.0)
+    t_ext = float(t_last if slope >= 0 else -intercept / slope * t_scale)
+    return t_ext, bool(len(ts) < 5 or t_ext <= t_last)
 
 
 def rescale_deviation(profile, t_extinct, t, speed, q=0.0):

@@ -104,7 +104,7 @@ def gradient_terms_general(speed: SpeedFunction, r: RadiiPoint):
     q1, q2, g1, g2 = _gradient_terms_raw(fd, r.r2 - r.r1)
     if g1 == 0 or g2 == 0:
         # gdot2 can only vanish where the closed-form denominator does
-        raise PoleError("normalization pole: gdot vanishes", t=r.r2 / r.r1)
+        raise PoleError(f"normalization pole at t={r.r2 / r.r1}: gdot vanishes")
     return _normalize(q1, q2, g1, g2, fd.f)
 
 
@@ -225,8 +225,10 @@ def gradient_terms_gauss_closed(r: RadiiPoint, alpha):
     try:
         q1, q2 = _gauss_closed(a, t, scalar)
     except ZeroDivisionError:
-        msg = "denominator factor vanishes (alpha > 2)"
-        raise PoleError(msg, t=r.r2 / r.r1, factor="alpha*r1+(2-alpha)*r2") from None
+        raise PoleError(
+            f"denominator factor alpha*r1+(2-alpha)*r2 vanishes at t={r.r2 / r.r1}"
+            " (alpha > 2)"
+        ) from None
     scale = r1 ** -(a + 2)
     return q1 * scale, q2 * scale
 

@@ -104,10 +104,9 @@ def render_report(payload) -> str:
 
 
 def write_report(path, payload):
-    text = render_report(payload)
+    text = render_report(payload)  # before open: a payload that fails leaves no file
     with open(path, "w") as fh:
         fh.write(text)
-    return text
 
 
 def strip_timestamp(text: str) -> str:

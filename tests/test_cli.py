@@ -358,7 +358,7 @@ def test_threshold_gauss(tmp_path, capsys):
     assert "midpoint" in capsys.readouterr().out
 
 
-def test_threshold_non_bracketing():
+def test_threshold_non_bracketing(capsys):
     code = invoke(
         "threshold",
         "--family",
@@ -369,6 +369,11 @@ def test_threshold_non_bracketing():
         "1.9",
     )
     assert code == 2
+    # the message names the verdict each end got
+    err = capsys.readouterr().err
+    for alpha in (0.6, 1.9):
+        verdict = certificates.certify_nonpositive("gauss_power", alpha).verdict
+        assert f"alpha {alpha} is {verdict}" in err
 
 
 def test_threshold_bad_range():
@@ -491,6 +496,26 @@ def test_failed_command_writes_nothing(tmp_path, capsys):
         "summary.json",
         "trace.csv",
     ]
+
+
+@pytest.mark.parametrize("sub", ["", "sub"])
+def test_out_not_a_directory_is_a_config_error(tmp_path, capsys, sub):
+    # an --out that is a file, or lies below one, fails before any work with
+    # one config error line, and nothing is created
+    blocker = tmp_path / "F"
+    blocker.write_text("keep")
+    base = {"family": "gauss_power", "n_nodes": 33, "stop_fraction": 0.2}
+    cfg = sweep_config(tmp_path, {"base": base, "runs": [{"alpha": 1.0}]})
+    message = f"config error: field 'out': {str(blocker)!r} is not a directory\n"
+    for argv in (
+        ("q-sign", "--family", "gauss_power", "--alpha", "1.5"),
+        ("sweep", "--config", cfg, "--workers", "1"),
+    ):
+        assert invoke(*argv, "--out", str(blocker / sub)) == 2, argv
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", message)
+        assert blocker.read_text() == "keep"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["F", "sweep.json"]
 
 
 def test_flow_below_float_range_scales(tmp_path):

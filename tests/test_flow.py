@@ -100,35 +100,43 @@ def test_ellipsoid_support_matches_oracle():
 
 def test_radii_sphere_exact():
     p = sphere_support(3.0, n_nodes=101)
-    rf = radii_from_support(p)
-    assert np.max(np.abs(rf.r1 - 3.0)) <= 1e-10
-    assert np.max(np.abs(rf.r2 - 3.0)) <= 1e-10
+    r1, r2 = radii_from_support(p)
+    assert np.max(np.abs(r1 - 3.0)) <= 1e-10
+    assert np.max(np.abs(r2 - 3.0)) <= 1e-10
+
+
+def test_radii_from_support_is_the_stencil():
+    p = ellipsoid_support(2.0, 1.0, n_nodes=101)
+    r1, r2 = radii_from_support(p)
+    want1, want2, _ = flowmod._radii(p.s, _grid(101))
+    assert r1.tobytes() == want1.tobytes()
+    assert r2.tobytes() == want2.tobytes()
 
 
 def test_radii_ellipsoid_equator_and_pole():
     p = ellipsoid_support(2.0, 1.0, n_nodes=201)
-    rf = radii_from_support(p)
+    r1, r2 = radii_from_support(p)
     h2 = p.dtheta**2
     eq = 100
-    assert abs(rf.r1[eq] - oracles.EQUATOR_RADII_21[0]) <= 40 * h2
-    assert abs(rf.r2[eq] - oracles.EQUATOR_RADII_21[1]) <= 40 * h2
+    assert abs(r1[eq] - oracles.EQUATOR_RADII_21[0]) <= 40 * h2
+    assert abs(r2[eq] - oracles.EQUATOR_RADII_21[1]) <= 40 * h2
     for pole in (0, 200):
-        assert rf.r1[pole] == rf.r2[pole]
-        assert abs(rf.r1[pole] - oracles.POLE_RADII_21) <= 40 * h2
+        assert r1[pole] == r2[pole]
+        assert abs(r1[pole] - oracles.POLE_RADII_21) <= 40 * h2
 
 
 def test_radii_second_order_convergence():
     errs = []
     for n in (201, 401):
         p = ellipsoid_support(2.0, 1.0, n_nodes=n)
-        rf = radii_from_support(p)
+        r1, r2 = radii_from_support(p)
         want1, want2 = zip(
             *(oracles.ellipsoid_radii_closed(2.0, 1.0, th) for th in p.theta)
         )
         errs.append(
             max(
-                np.max(np.abs(rf.r1 - np.array(want1))),
-                np.max(np.abs(rf.r2 - np.array(want2))),
+                np.max(np.abs(r1 - np.array(want1))),
+                np.max(np.abs(r2 - np.array(want2))),
             )
         )
     ratio = errs[0] / errs[1]
@@ -431,9 +439,9 @@ def test_diagnostics_ellipsoid_frozen():
 
 def test_diagnostics_equator_value_alpha2():
     p = ellipsoid_support(2.0, 1.0, n_nodes=401)
-    rf = radii_from_support(p)
+    r1, r2 = radii_from_support(p)
     eq = 200
-    got = (rf.r1[eq] - rf.r2[eq]) ** 2 / (rf.r1[eq] * rf.r2[eq]) ** 2
+    got = (r1[eq] - r2[eq]) ** 2 / (r1[eq] * r2[eq]) ** 2
     assert got == pytest.approx(oracles.PINCH_21_EQUATOR, abs=1e-3)
 
 
@@ -768,9 +776,15 @@ def test_ralston_two_stage_step_beats_the_recurrence(monkeypatch, family, alpha)
 def test_extinction_estimate_low_confidence_flag():
     cfg = FlowConfig("gauss_power", 2.0, n_nodes=101, stop_fraction=0.1)
     trace = run(cfg)
-    est = extinction_estimate(trace)
-    assert not est.low_confidence
-    assert est.t_extinct == pytest.approx(1.0 / 3.0, abs=1e-3)
+    t_extinct, low_confidence = extinction_estimate(trace)
+    assert not low_confidence
+    assert t_extinct == pytest.approx(1.0 / 3.0, abs=1e-3)
+    # run writes the same fit, and the centre of its last record, once
+    assert (trace.t_extinct, trace.extinction_low_confidence) == (
+        t_extinct,
+        low_confidence,
+    )
+    assert trace.extinction_center == trace.records[-1].center_z
 
 
 def test_rescale_deviation_frozen():

@@ -1,6 +1,8 @@
-"""The package's public names."""
+"""The package's public names, and the ones the benchmark tracer wraps."""
 
+import importlib.util
 import inspect
+from pathlib import Path
 
 import pinchflow
 
@@ -59,3 +61,16 @@ def test_public_names():
         if not name.startswith("_") and not inspect.ismodule(value)
     )
     assert names == PUBLIC
+
+
+def test_trace_points_exist(monkeypatch):
+    # perfbench's tracer wraps these attributes by name when it installs, so
+    # one that is deleted or renamed breaks a traced benchmark run although
+    # no other caller reads it
+    bench = Path(__file__).resolve().parents[1] / "perfbench"
+    monkeypatch.syspath_prepend(str(bench))  # tracing imports its summary
+    spec = importlib.util.spec_from_file_location("tracing", bench / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    for module, attr, _, _ in tracing.trace_points():
+        assert callable(getattr(module, attr, None)), (module.__name__, attr)

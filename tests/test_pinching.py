@@ -151,7 +151,7 @@ def test_closed_large_ratio_failure_above_two():
 
 def test_closed_pole_error():
     # d2 = alpha + (2 - alpha) t vanishes at t = 3 for alpha = 3
-    with pytest.raises(PoleError):
+    with pytest.raises(PoleError, match="vanishes at t=3.0 "):
         gradient_terms_gauss_closed(RadiiPoint(1, 3), 3.0)
 
 
