@@ -14,7 +14,8 @@ under the flow (the acceptance checks rely on this).
 Time stepping is the damped second-order Runge-Kutta-Chebyshev method
 (Sommeijer, Shampine & Verwer, J. Comput. Appl. Math. 88, 1998), whose
 stability interval grows as the square of the stage count, so the step
-follows accuracy (`_step_dt`) rather than the parabolic limit.  It steps
+follows accuracy rather than the parabolic limit: `run` sizes each step by
+the method's embedded error estimate (`_error`).  It steps
 w = (s / max s)^(alpha + 1) rather than s: on a shrinking sphere w falls
 linearly in t, where every Runge-Kutta method is exact, so a round start
 follows its radius law to rounding and the step's error comes from the
@@ -52,18 +53,24 @@ from .speeds import SpeedFunction, _k_derivs
 # then builds the whole block.
 _RECORD_BLOCK = 64
 
-# A step advances _EPS of the smallest remaining shrinking-sphere lifetime
-# over the nodes, but never less than the explicit parabolic step
-# _FLOOR * dtheta^2 / max(df1 + df2), so a coarse grid takes no more steps
-# than the explicit scheme (`_step_dt`).  The stepping error at the stop
-# grows as _EPS^2.  Stepping w = (s / max s)^(alpha + 1) leaves the round
-# spheres exact (criterion 6 reads 1.4e-12, the N = 33 sphere checks at
-# most 1.4e-12, against 1e-3), so the binding check is the explicit
-# reference, `test_rkc_matches_explicit_reference`: its worst case, gauss
-# alpha 2, reads 6.5e-6 of its 1e-5 bound at 0.008 (0.65), 5.8e-6 at
-# 0.0075, 8.2e-6 at 0.009 and 1.0e-5 at 0.01.
+# The first step advances _EPS of the smallest remaining shrinking-sphere
+# lifetime over the nodes (`_lifetime`); it seeds the controller in `run`,
+# and `adaptive_dt` returns it.  From there each step is sized by RKC's
+# embedded estimate of its local error (`_error`), as a fraction of max s:
+# a step is kept when the estimate is at most _TOL, and the next one is
+# dt * min(3, 0.9 (_TOL / err)^(1/3)), but at most _CAP of the remaining
+# sphere lifetime.  Stepping w = (s / max s)^(alpha + 1) leaves the round
+# spheres exact, where the estimate is 0, so the cap sizes their steps and
+# keeps w positive.  A larger cap takes fewer steps on round bodies, but
+# it stretches the last tenth of the steps, over which
+# `extinction_estimate` fits T, back to an a0 far from its final value:
+# at 0.25 criterion 8 at alpha 2 read 0.0036 in place of 0.0003.  The
+# binding check is the explicit reference,
+# `test_rkc_matches_explicit_reference`: its worst case, gauss alpha 2,
+# reads 2.8e-6 of its 1e-5 bound.
 _EPS = 0.008
-_FLOOR = 0.25
+_TOL = 1e-8
+_CAP = 0.05
 
 # Damping of the RKC stability polynomial: inside the stability interval
 # |R| stays below about 1 - damping / 3 instead of touching 1 at every
@@ -239,9 +246,9 @@ def _convex_radii(s, g):
 def _rate_and_cap(family, alpha, r1, r2):
     """ds/dt = -k^(-alpha) and the cap max(df1 + df2), where
     df_i = alpha k^-(1+alpha) dk_i is the linearization's diffusion trace;
-    the cap sizes both the step's floor and its stage count.  Needs k and
-    its first derivatives only: `_k_derivs` at order 1, so no second
-    derivative is formed per step.  Raises DomainError when the cap is not
+    the cap sizes the step's stage count.  Needs k and its first
+    derivatives only: `_k_derivs` at order 1, so no second derivative is
+    formed per step.  Raises DomainError when the cap is not
     finite and positive, as when k^-(1+alpha) leaves the float range: no
     step or stage count follows from such a cap."""
     k, k1, k2 = _k_derivs(family, alpha, r1, r2, order=1)
@@ -255,13 +262,10 @@ def _rate_and_cap(family, alpha, r1, r2):
     return -(a * k), cap
 
 
-def _step_dt(s, rate0, cap, d, alpha):
-    """The step from s, whose rate is rate0: _EPS / (alpha + 1) times the
-    smallest s / |ds/dt| over the nodes, which on a sphere is _EPS times its
-    remaining lifetime, but never less than the explicit parabolic step
-    _FLOOR * d^2 / cap."""
-    lifetime = -float(_max(s / rate0)) / (alpha + 1.0)
-    return max(_EPS * lifetime, _FLOOR * (d * d) / cap)
+def _lifetime(s, rate, alpha):
+    """min over the nodes of s / |ds/dt|, divided by alpha + 1, for s whose
+    rate is `rate`: on a sphere, its remaining lifetime."""
+    return -float(_max(s / rate)) / (alpha + 1.0)
 
 
 def _stage_count(dt, cap, d):
@@ -315,7 +319,7 @@ def _rkc_coefficients(n_stages):
 def _attempt(family, alpha, s, rate0, cap, dt, g):
     """One try of a step of dt: the stage count `_stage_count` gives for dt
     and the `_rkc` step in that many stages (None when rejected).  `run`'s
-    halvings, its landing step and `step` all take their steps here."""
+    tries, its landing steps and `step` all take their steps here."""
     n_stages = _stage_count(dt, cap, g.d)
     return n_stages, _rkc(family, alpha, s, rate0, dt, n_stages, g)
 
@@ -327,12 +331,14 @@ def _rkc(family, alpha, s, rate0, dt, n_stages, g):
     one, so dw/dt = -(alpha + 1) c^-(alpha + 1) (u / k(u))^alpha, the scalar
     folded into the stage coefficient.  The Jacobian in w is a diagonal
     similarity of the one in s, so the cap and the stage count carry over,
-    and w / |dw/dt| = s / ((alpha + 1) |ds/dt|) is what `_step_dt` reads.
-    Returns the new (s, r1, r2, diff) as `_radii` gives them, or None when
-    a stage loses convexity or the result loses convexity or positivity
-    (the caller halves dt), and when n_stages exceeds _MAX_STAGES.  Raises
-    DomainError when min w or c^-(alpha + 1) is not a normal float.  Stage
-    rates need k only: `_k_derivs` at order 0."""
+    and w / |dw/dt| = s / ((alpha + 1) |ds/dt|) is what `_lifetime` reads.
+    Returns the new (s, r1, r2, diff) as `_radii` gives them, then what
+    `_error` reads: c, the new w, its increment d = w - w0 and dw/dt at w0.
+    Returns None when a stage loses convexity or the result loses
+    convexity or positivity (the caller halves dt), and when n_stages
+    exceeds _MAX_STAGES.  Raises DomainError when min w or c^-(alpha + 1)
+    is not a normal float.  Stage rates need k only: `_k_derivs` at
+    order 0."""
     if n_stages > _MAX_STAGES:
         return None
     p = alpha + 1.0
@@ -365,11 +371,28 @@ def _rkc(family, alpha, s, rate0, dt, n_stages, g):
             + (gamma_t * dt) * wrate0
             - (mu_t * dt * scale) * (u / k) ** alpha
         )
-    s = c * (w0 + d) ** root
+    w = w0 + d
+    s = c * w**root
     r1, r2, diff = _radii(s, g)
     if not _convex(r1, r2) or _min(s) <= 0:
         return None
-    return s, r1, r2, diff
+    return s, r1, r2, diff, c, w, d, wrate0
+
+
+def _error(alpha, dt, out, rate):
+    """RKC's embedded estimate of the local error of the step of dt that
+    `_rkc` returned as `out`, whose new s has the rate `rate`: in w,
+    est = (12 (w0 - w) + 6 dt (dw/dt at w0 + dw/dt at w)) / 15 (Sommeijer,
+    Shampine & Verwer), here with w - w0 = d, the increment the stages
+    carry.  Returned in s as a fraction of c = max s before the step: a
+    change dw in w = u^(alpha + 1), u = s / c, is a change of
+    dw / ((alpha + 1) u^alpha) = dw s / ((alpha + 1) c w) in u.  0 up to
+    rounding on a sphere, where w falls linearly."""
+    s, _, _, _, c, w, d, wrate0 = out
+    p = alpha + 1.0
+    wrate = (p * rate / s) * w
+    est = (6.0 * dt) * (wrate0 + wrate) - 12.0 * d
+    return float(_max(np.abs(est) * s / w)) / (15.0 * p * c)
 
 
 def radii_from_support(profile):
@@ -380,10 +403,10 @@ def radii_from_support(profile):
 
 def step(profile, speed, dt) -> SupportProfile:
     """One RKC step of dt, the one `run` takes, through the same `_attempt`:
-    iterating `step(p, speed, adaptive_dt(p, speed))` reproduces `run` bit
-    for bit while no step is rejected, up to `run`'s shortened last step.
-    dt = 0 returns a copy; negative/non-finite dt, or a step that loses
-    positivity or convexity, is rejected (the caller halves dt)."""
+    iterating `step` over the dt column of `run`'s trace (`record_every` 1)
+    reproduces `run` bit for bit.  dt = 0 returns a copy; negative or
+    non-finite dt, or a step that loses positivity or convexity, is
+    rejected (the caller halves dt)."""
     if not (math.isfinite(dt) and dt >= 0):
         raise StepRejectedError(f"bad time step {dt}")
     if dt == 0.0:
@@ -405,13 +428,13 @@ def step(profile, speed, dt) -> SupportProfile:
 
 
 def adaptive_dt(profile, speed):
-    """The time step `run` starts from (`_step_dt`): _EPS of the remaining
-    shrinking-sphere lifetime, floored at _FLOOR * dtheta^2 / max(df1 + df2)."""
+    """The time step `run` starts from: _EPS of the remaining
+    shrinking-sphere lifetime (`_lifetime`)."""
     r1, r2 = radii_from_support(profile)
     alpha = float(speed.alpha)
     with np.errstate(**_QUIET):
-        rate0, cap = _rate_and_cap(speed.family, alpha, r1, r2)
-    return _step_dt(profile.s, rate0, cap, profile.dtheta, alpha)
+        rate0, _ = _rate_and_cap(speed.family, alpha, r1, r2)
+    return _EPS * _lifetime(profile.s, rate0, alpha)
 
 
 def _diagnose(g, s, r1, r2, diff, speed):
@@ -527,7 +550,9 @@ class FlowTrace:
     status: str  # extinct_fraction | max_steps | convexity_loss
     steps: int
     stages: int  # RKC stage counts (rate evaluations) of every attempted step
-    rejected: int  # attempts rejected: a dt halving, or a kept full last step
+    # attempts rejected: a dt halving, an error-test retry, or a landing
+    # step that failed, so the longer step before it stands
+    rejected: int
     dt_min: float  # smallest and largest dt over the steps taken (the trace's
     dt_max: float  # dt column without step 0), None when no step was taken
     t_final: float
@@ -588,17 +613,20 @@ def _flush(records, pending, g, speed):
 
 def run(config: FlowConfig, profile=None) -> FlowTrace:
     """Integrate until the minimum support reaches stop_fraction of its
-    initial value (or max_steps), halving dt on a rejected try.  The step
-    that crosses the target is taken again, shortened by one secant step in
-    dt so that the minimum support lands on the target and no reported value
-    depends on `_EPS` through where the run stops; if the short step is
-    rejected, the full one stands.  The loop carries bare arrays, since a
-    SupportProfile per step would re-validate s.  A given `profile` must
-    have `config.n_nodes` nodes; the clock starts at its `time`, and T is
-    read on that clock.
+    initial value (or max_steps).  The first try is `adaptive_dt`'s step;
+    each later one follows the error estimate of the step before (`_error`,
+    `_TOL`, `_CAP`).  A try that loses convexity is retried at half its dt,
+    and one whose estimate exceeds _TOL at a dt the estimate shrinks.  The
+    step that crosses the target is taken again, shortened by two secant
+    steps in dt so that the minimum support lands on the target and no
+    reported value depends on the step size through where the run stops;
+    if a short step is rejected, the step before it stands.  The loop
+    carries bare arrays, since a SupportProfile per step would re-validate
+    s.  A given `profile` must have `config.n_nodes` nodes; the clock
+    starts at its `time`, and T is read on that clock.
 
-    A nonconvex initial profile, or a rejection that survives eight
-    halvings, ends the loop with status "convexity_loss", and the one
+    A nonconvex initial profile, or a step that eight tries do not take,
+    ends the loop with status "convexity_loss", and the one
     FlowTrace, made either way, rides on the raised ConvexityLossError as
     `error.trace`.  At the stop fraction, T, its flag, the last record's
     centre and the deviation rescaled about that centre go onto the trace.
@@ -634,16 +662,25 @@ def run(config: FlowConfig, profile=None) -> FlowTrace:
         pending.append((n, t, dt, s, r1, r2, diff))
     caller = np.geterr()
     with np.errstate(**_QUIET):
-        while status is None:
+        if status is None:
             rate0, cap = _rate_and_cap(fam, alpha, r1, r2)
-            dt = _step_dt(s, rate0, cap, g.d, alpha)
+            try_dt = _EPS * _lifetime(s, rate0, alpha)
+        while status is None:
+            dt = try_dt
             for _ in range(8):
                 n_stages, out = _attempt(fam, alpha, s, rate0, cap, dt, g)
                 stages += n_stages
-                if out is not None:
-                    break
+                if out is None:
+                    dt *= 0.5
+                else:
+                    rate1, cap1 = _rate_and_cap(fam, alpha, out[1], out[2])
+                    err = _error(alpha, dt, out, rate1)
+                    # a step of dt * ratio errs 0.9^3 _TOL: the error goes as dt^3
+                    ratio = 0.9 * (_TOL / err) ** (1.0 / 3.0) if err else 3.0
+                    if err <= _TOL:
+                        break
+                    dt *= max(0.2, ratio)
                 rejected += 1
-                dt *= 0.5
             else:
                 status = "convexity_loss"
                 error = ConvexityLossError(
@@ -653,14 +690,24 @@ def run(config: FlowConfig, profile=None) -> FlowTrace:
             m_new = _min(out[0])
             if m_new <= target:
                 status = "extinct_fraction"
-                short = dt * ((m - target) / (m - m_new))
-                n_stages, landed = _attempt(fam, alpha, s, rate0, cap, short, g)
-                stages += n_stages
-                if landed is None:
-                    rejected += 1
-                else:
-                    out, dt = landed, short
-            s, r1, r2, diff = out
+                # secant steps in dt on min s, each from the last two tries
+                x0, m0, x1, m1 = 0.0, m, dt, m_new
+                for _ in range(2):
+                    if m1 == target or m1 == m0:
+                        break
+                    x = x1 + (target - m1) * ((x1 - x0) / (m1 - m0))
+                    n_stages, landed = _attempt(fam, alpha, s, rate0, cap, x, g)
+                    stages += n_stages
+                    if landed is None:
+                        rejected += 1
+                        break
+                    out, dt = landed, x
+                    x0, m0, x1, m1 = x1, m1, x, _min(landed[0])
+            else:
+                rate0, cap = rate1, cap1
+                cap_dt = _CAP * _lifetime(out[0], rate0, alpha)
+                try_dt = min(dt * min(3.0, ratio), cap_dt)
+            s, r1, r2, diff = out[:4]
             m = m_new
             t += dt
             dt_min, dt_max = min(dt_min, dt), max(dt_max, dt)

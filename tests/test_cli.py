@@ -9,6 +9,7 @@ import sys
 import warnings
 from dataclasses import fields
 
+import numpy as np
 import pytest
 
 from pinchflow import certificates, cli, pinching, speeds
@@ -198,13 +199,13 @@ REPORT_SHA256 = [
     pytest.param(
         FLOW_ARGV,
         "summary.json",
-        "1d6241609909bb07c5bd82a9218fe8dd8a23cd9644475fd6f16f5f762145db84",
+        "7fd998c365009f5cbf72d2f3ac77d66674323e6f8adb54ae7b2783f29220b522",
         id="flow-mean-summary",
     ),
     pytest.param(
         FLOW_ARGV,
         "trace.csv",
-        "4bdfe60c321af12bdc4058bfc86ee4336b8d3ad4c9101008dafda2c72f8a490b",
+        "42f55f50449c9021e4af57ee9dd441d511708058e3db88c4a6581bb44ac5bd99",
         id="flow-mean-trace",
     ),
     pytest.param(  # find_threshold's default tolerance is 0.05
@@ -410,7 +411,10 @@ def test_flow_sphere_summary(tmp_path, capsys):
     assert all(doc["monotonicity"]["monotone"].values())
     lines = (tmp_path / "trace.csv").read_text().splitlines()
     assert lines[0].startswith("step,t,dt,min_support")
-    assert len(lines) > 10
+    # steps 0, every 100th and the last; the sphere's steps grow to 0.05 of
+    # its remaining lifetime
+    assert doc["steps"] > 100
+    assert len(lines) == 1 + doc["n_records"] == 3 + doc["steps"] // 100
 
 
 def test_flow_invalid_config_no_partial_output(tmp_path, capsys):
@@ -534,18 +538,18 @@ def test_flow_below_float_range_scales(tmp_path):
 
 def test_flow_convexity_loss_exit_and_partial_trace(tmp_path, monkeypatch):
     # the real dt-halving abort: every RKC step fails from step 100 on
-    real = cli.flowmod._rkc
-    accepted = []
+    flowmod = cli.flowmod
+    full = flowmod.run(
+        flowmod.FlowConfig("gauss_power", 2.0, a=2.0, n_nodes=33, max_steps=100)
+    )
+    real = flowmod._rkc
 
-    def rkc_until_step_100(*args):
-        if len(accepted) == 100:
+    def rkc_until_step_100(family, alpha, s, *args):
+        if np.array_equal(s, full.profile.s):
             return None
-        out = real(*args)
-        if out is not None:
-            accepted.append(out)
-        return out
+        return real(family, alpha, s, *args)
 
-    monkeypatch.setattr(cli.flowmod, "_rkc", rkc_until_step_100)
+    monkeypatch.setattr(flowmod, "_rkc", rkc_until_step_100)
     code = invoke(
         "flow",
         "--family",
@@ -564,7 +568,7 @@ def test_flow_convexity_loss_exit_and_partial_trace(tmp_path, monkeypatch):
     assert code == 3
     doc = json.loads((tmp_path / "summary.json").read_text())
     assert doc["status"] == "convexity_loss" and doc["steps"] == 100
-    assert doc["rejected"] == 8
+    assert doc["rejected"] == full.rejected + 8
     lines = (tmp_path / "trace.csv").read_text().splitlines()
     assert len(lines) == 1 + doc["steps"] + 1  # header, steps 0 to 100
 
